@@ -161,10 +161,9 @@ def main(argv: list[str] | None = None) -> int:
              "events/sec per experiment")
     parser.add_argument(
         "--vector", action="store_true",
-        help="enable the vectorized fast paths (event-cohort dispatch + "
-             "numpy flow updates; equivalent to REPRO_VECTOR=1).  Output "
-             "is byte-identical to the scalar paths — only wall-clock "
-             "changes")
+        help="enable event-cohort dispatch (equivalent to "
+             "REPRO_VECTOR=1).  Output is byte-identical to the scalar "
+             "event loop — only wall-clock changes")
     args = parser.parse_args(argv)
     if args.jobs < 0:
         parser.error("--jobs must be >= 0")

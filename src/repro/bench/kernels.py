@@ -1,14 +1,11 @@
 """Generated-and-measured event-core kernels (``--tune`` / receipts).
 
-The event core has two inner loops hot enough to specialize: the cohort
-drain loop (:meth:`repro.simtime.core.Simulator._run_cohort`) and the
-resident numpy waterfilling
-(:meth:`repro.hardware.flows.FlowNetwork._assign_rates_vec`).  This module
-follows the measure-everything idiom: *generate* the specialized inner
-loop, *prove* it bitwise-identical to the builtin on a differential
-battery, *measure* it on this host, and *keep the receipts* — a versioned
-JSON artifact mapping each paper machine to the variant that actually won
-here, with the numbers that justify the choice.
+The cohort drain loop (:meth:`repro.simtime.core.Simulator._run_cohort`)
+is hot enough to specialize.  This module follows the measure-everything
+idiom: *generate* the specialized inner loop, *prove* it bitwise-identical
+to the builtin on a differential battery, *measure* it on this host, and
+*keep the receipts* — a versioned JSON artifact recording the variant that
+actually won here, with the numbers that justify the choice.
 
 Variants
 --------
@@ -23,29 +20,17 @@ Dispatch (``fn(sim, horizon)``; installed via
   and a body with the ``is not None`` tests pre-folded for
   ``run_horizon()``.
 
-Waterfill (``fn(net, ordered)``; installed via
-:func:`repro.hardware.flows.install_waterfill_kernel`):
-
-- ``wf_generic`` — the builtin resident-numpy waterfilling.
-- ``wf_fused_r1`` — single-resource networks: the filling rounds collapse
-  to pure scalar float arithmetic (no per-round small-array numpy calls).
-- ``wf_scalarized`` — small networks (few resources, few flows): the same
-  collapse with an inner resource loop.
-- ``wf_nres<N>`` — the builtin's source with the resource count pinned to
-  machine ``N`` (one per paper machine's resource count).
-
-Every specialized variant performs the *same IEEE-754 operations in the
-same order* as the builtin — sequential column accumulation, first-minimum
-scans, whole-row freezes in flow-id order — so rates, traces and counters
-stay bitwise-identical; the battery in :func:`verify_dispatch_variant` /
-:func:`verify_waterfill_variant` enforces this before a variant becomes
-eligible, and the scalar paths remain the oracle for all of it.
+Every specialized variant performs the same operations in the same order
+as the builtin, so traces and counters stay bitwise-identical; the battery
+in :func:`verify_dispatch_variant` enforces this before a variant becomes
+eligible, and the scalar event loop remains the oracle for all of it.
 
 Receipts are validated on load: a version bump, a different host
 fingerprint, or an unknown variant name makes them *stale* and
-:func:`activate` silently keeps the builtins.  Everything here is gated on
-``REPRO_VECTOR`` — with the vector path off the kernels are never
-installed.
+:func:`activate` silently keeps the builtin.  Receipts written before the
+flow solver had a single implementation carry a ``waterfill`` entry, which
+is ignored.  Everything here is gated on ``REPRO_VECTOR`` — with the
+vector path off the kernels are never installed.
 
 CLI::
 
@@ -63,7 +48,6 @@ import os
 import platform
 import random
 import re
-import struct
 import sys
 import textwrap
 import time
@@ -71,17 +55,13 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro import vector as _vector
-from repro.hardware import flows as _flows
-from repro.hardware.flows import FlowNetwork, Resource
 from repro.simtime import core as _core
 from repro.simtime.core import Simulator
 
 __all__ = [
     "KernelGenerationError", "KernelVerificationError",
-    "DISPATCH_VARIANTS", "WATERFILL_VARIANTS",
-    "make_dispatch_kernel", "make_waterfill_kernel",
-    "verify_dispatch_variant", "verify_waterfill_variant",
-    "host_fingerprint", "machine_n_res", "tune", "activate",
+    "DISPATCH_VARIANTS", "make_dispatch_kernel", "verify_dispatch_variant",
+    "host_fingerprint", "tune", "activate",
     "load_receipts", "main",
 ]
 
@@ -226,269 +206,6 @@ def make_dispatch_kernel(name: str) -> Optional[Callable]:
 
 
 # ---------------------------------------------------------------------------
-# waterfill kernel generation
-# ---------------------------------------------------------------------------
-
-# The scalarized filling rounds.  Every arithmetic statement mirrors one
-# numpy statement of the builtin (same operand order, same IEEE-754
-# operation, dead columns included), so results are bitwise-identical; see
-# the builtin's docstring for why each step is exact.
-_WF_SCALAR_TEMPLATE = '''\
-def {NAME}(self, ordered):
-    n = len(ordered)
-    if n == 0:
-        return
-    n_res = len(self._vres_list)
-{GUARD}
-    slots = self._vslot
-    idx = [slots[f] for f in ordered]
-    w_rows = self._vW[idx][:, :n_res].tolist()
-    s_rows = self._vS[idx][:, :n_res].tolist()
-    for f in ordered:
-        f.rate = 0.0
-    cols = range(n_res)
-    # Sequential row accumulation per column == _row_sum on the builtin.
-    wsum = [0.0] * n_res
-    ssum = [0.0] * n_res
-    for wr, sr in zip(w_rows, s_rows):
-        for j in cols:
-            wsum[j] += wr[j]
-            ssum[j] += sr[j]
-    caps = self._vcaps[:n_res].tolist()
-    knee = self._vknee[:n_res].tolist()
-    alpha = self._valpha[:n_res].tolist()
-    thresh = self._vthresh[:n_res].tolist()
-    residual = [0.0] * n_res
-    for j in cols:
-        # round() is the same half-to-even as np.round; max(x, 0.0)
-        # matches np.maximum for the non-NaN values that occur here.
-        excess = float(round(ssum[j])) - knee[j]
-        if excess < 0.0:
-            excess = 0.0
-        residual[j] = caps[j] / (1.0 + alpha[j] * excess)
-    demands = [f.demand for f in ordered]
-    by_demand = np.argsort(np.asarray(demands), kind="stable").tolist()
-    unfrozen = [True] * n
-    n_unfrozen = n
-    demand_ptr = 0
-    rate = 0.0
-    inf = float("inf")
-    eps = _EPS_RATE
-    while n_unfrozen:
-        while demand_ptr < n and not unfrozen[by_demand[demand_ptr]]:
-            demand_ptr += 1
-        inc = demands[by_demand[demand_ptr]] - rate if demand_ptr < n else inf
-        # First strict minimum over live columns == np.argmin over the
-        # where-masked quotients.
-        live = [wsum[j] > 1e-12 for j in cols]
-        bottleneck = -1
-        best = inf
-        for j in cols:
-            if live[j]:
-                r_inc = residual[j] / wsum[j]
-                if r_inc < best:
-                    best = r_inc
-                    bottleneck = j
-        if best < inc:
-            inc = best
-        else:
-            bottleneck = -1
-        if inc < 0:
-            inc = 0.0
-        rate += inc
-        for j in cols:
-            residual[j] -= inc * wsum[j]
-        frozen = [False] * n
-        any_frozen = False
-        while demand_ptr < n:
-            i = by_demand[demand_ptr]
-            if not unfrozen[i]:
-                demand_ptr += 1
-                continue
-            if demands[i] - rate > eps:
-                break
-            frozen[i] = True
-            any_frozen = True
-            demand_ptr += 1
-        sat = [j for j in cols if live[j] and residual[j] <= thresh[j]]
-        if sat:
-            for i in range(n):
-                if unfrozen[i] and not frozen[i]:
-                    wr = w_rows[i]
-                    for j in sat:
-                        if wr[j] != 0.0:
-                            frozen[i] = True
-                            any_frozen = True
-                            break
-        if not any_frozen:
-            if bottleneck < 0:
-                break
-            for i in range(n):
-                if unfrozen[i] and w_rows[i][bottleneck] != 0.0:
-                    frozen[i] = True
-                    any_frozen = True
-            if not any_frozen:
-                break
-        for i in range(n):
-            if frozen[i]:
-                ordered[i].rate = rate
-                wr = w_rows[i]
-                for j in cols:
-                    wsum[j] -= wr[j]
-                unfrozen[i] = False
-                n_unfrozen -= 1
-    if n_unfrozen:
-        for i in range(n):
-            if unfrozen[i]:
-                ordered[i].rate = rate
-'''
-
-# Single-resource fusion: the column loops above collapse entirely.
-_WF_R1_TEMPLATE = '''\
-def {NAME}(self, ordered):
-    n = len(ordered)
-    if n == 0:
-        return
-    if len(self._vres_list) != 1:
-        return FlowNetwork._assign_rates_vec(self, ordered)
-    slots = self._vslot
-    idx = [slots[f] for f in ordered]
-    w_col = self._vW[idx, 0].tolist()
-    s_col = self._vS[idx, 0].tolist()
-    for f in ordered:
-        f.rate = 0.0
-    wsum = 0.0
-    ssum = 0.0
-    for i in range(n):
-        wsum += w_col[i]
-        ssum += s_col[i]
-    excess = float(round(ssum)) - float(self._vknee[0])
-    if excess < 0.0:
-        excess = 0.0
-    residual = float(self._vcaps[0]) / (1.0 + float(self._valpha[0]) * excess)
-    thresh = float(self._vthresh[0])
-    demands = [f.demand for f in ordered]
-    by_demand = np.argsort(np.asarray(demands), kind="stable").tolist()
-    unfrozen = [True] * n
-    n_unfrozen = n
-    demand_ptr = 0
-    rate = 0.0
-    inf = float("inf")
-    eps = _EPS_RATE
-    while n_unfrozen:
-        while demand_ptr < n and not unfrozen[by_demand[demand_ptr]]:
-            demand_ptr += 1
-        inc = demands[by_demand[demand_ptr]] - rate if demand_ptr < n else inf
-        live = wsum > 1e-12
-        bottleneck = -1
-        if live:
-            r_inc = residual / wsum
-            if r_inc < inc:
-                inc = r_inc
-                bottleneck = 0
-        if inc < 0:
-            inc = 0.0
-        rate += inc
-        residual -= inc * wsum
-        frozen = [False] * n
-        any_frozen = False
-        while demand_ptr < n:
-            i = by_demand[demand_ptr]
-            if not unfrozen[i]:
-                demand_ptr += 1
-                continue
-            if demands[i] - rate > eps:
-                break
-            frozen[i] = True
-            any_frozen = True
-            demand_ptr += 1
-        if live and residual <= thresh:
-            for i in range(n):
-                if unfrozen[i] and not frozen[i] and w_col[i] != 0.0:
-                    frozen[i] = True
-                    any_frozen = True
-        if not any_frozen:
-            if bottleneck < 0:
-                break
-            for i in range(n):
-                if unfrozen[i] and w_col[i] != 0.0:
-                    frozen[i] = True
-                    any_frozen = True
-            if not any_frozen:
-                break
-        for i in range(n):
-            if frozen[i]:
-                ordered[i].rate = rate
-                wsum -= w_col[i]
-                unfrozen[i] = False
-                n_unfrozen -= 1
-    if n_unfrozen:
-        for i in range(n):
-            if unfrozen[i]:
-                ordered[i].rate = rate
-'''
-
-
-def _make_wf_scalarized() -> Callable:
-    guard = ("    if n_res > 8 or n > 96:\n"
-             "        return FlowNetwork._assign_rates_vec(self, ordered)")
-    src = _WF_SCALAR_TEMPLATE.format(NAME="wf_scalarized", GUARD=guard)
-    return _compile_in(_flows, src, "wf_scalarized")
-
-
-def _make_wf_fused_r1() -> Callable:
-    src = _WF_R1_TEMPLATE.format(NAME="wf_fused_r1")
-    return _compile_in(_flows, src, "wf_fused_r1")
-
-
-def _make_wf_nres(n_res: int) -> Callable:
-    """Pin the builtin's resource count to a machine constant."""
-    name = f"wf_nres{n_res}"
-    src = textwrap.dedent(inspect.getsource(FlowNetwork._assign_rates_vec))
-    lines = src.splitlines()
-    header = re.compile(r"def _assign_rates_vec\(self, ordered[^)]*\)[^:]*:")
-    if not header.search(lines[0]):
-        raise KernelGenerationError(f"unexpected header: {lines[0]!r}")
-    lines[0] = header.sub(f"def {name}(self, ordered):", lines[0])
-    anchor = "    n_res = len(self._vres_list)"
-    try:
-        at = lines.index(anchor)
-    except ValueError:
-        raise KernelGenerationError(
-            "could not find the n_res binding in _assign_rates_vec")
-    lines[at:at + 1] = [
-        anchor,
-        f"    if n_res != {n_res}:",
-        "        return FlowNetwork._assign_rates_vec(self, ordered)",
-        f"    n_res = {n_res}",
-    ]
-    return _compile_in(_flows, "\n".join(lines) + "\n", name)
-
-
-_WF_NRES = re.compile(r"^wf_nres(\d+)$")
-
-WATERFILL_VARIANTS: dict[str, Callable[[], Optional[Callable]]] = {
-    "wf_generic": lambda: None,
-    "wf_fused_r1": _make_wf_fused_r1,
-    "wf_scalarized": _make_wf_scalarized,
-}
-
-
-def make_waterfill_kernel(name: str) -> Optional[Callable]:
-    factory = WATERFILL_VARIANTS.get(name)
-    if factory is not None:
-        return factory()
-    m = _WF_NRES.match(name)
-    if m:
-        return _make_wf_nres(int(m.group(1)))
-    raise KernelGenerationError(f"unknown waterfill variant {name!r}")
-
-
-def _known_waterfill(name: str) -> bool:
-    return name in WATERFILL_VARIANTS or bool(_WF_NRES.match(name))
-
-
-# ---------------------------------------------------------------------------
 # differential battery (bitwise equivalence against the builtins)
 # ---------------------------------------------------------------------------
 
@@ -597,70 +314,6 @@ def verify_dispatch_variant(name: str,
                 f"{name} diverged from the scalar oracle (seed {seed})")
 
 
-def _flow_workload(n_res: int, seed: int, transfers: int):
-    """Build (sim, net, resources, trace, driver-process) for the battery."""
-    sim = Simulator(cohort=_vector.enabled())
-    net = FlowNetwork(sim, vectorized=True)
-    net.vector_min_flows = 0  # force the vector path for every rebalance
-    rng = random.Random(seed)
-    resources = [
-        Resource(f"r{j}", 1e9 * (1 + j),
-                 contention_knee=2 if j == 0 else 0,
-                 contention_alpha=0.05 if j == 0 else 0.0)
-        for j in range(n_res)
-    ]
-    trace: list = []
-
-    def driver():
-        for i in range(transfers):
-            yield sim.timeout(rng.random() * 2e-5)
-            picks = rng.sample(resources, k=rng.randint(1, n_res))
-            weights = {r: rng.choice([0.5, 1.0, 2.0]) for r in picks}
-            streams = {r: rng.choice([0.3, 1.0]) for r in picks[:1]}
-            done = net.transfer(
-                float(rng.randrange(1, 1 << 18)),
-                demand=rng.choice([2.5e8, 1e9, 8e9]),
-                weights=weights,
-                latency=rng.choice([0.0, 0.0, 1e-6]),
-                label=f"f{i}",
-                streams=streams,
-            )
-            done.add_callback(
-                lambda _e, i=i: trace.append((i, sim.now)))
-
-    sim.process(driver(), name="driver")
-    return sim, net, trace
-
-
-def _run_flow_case(n_res: int, seed: int, kernel: Optional[Callable],
-                   transfers: int = 32) -> tuple:
-    prev = _flows.installed_waterfill_kernel()
-    _flows.install_waterfill_kernel(kernel)
-    try:
-        sim, net, trace = _flow_workload(n_res, seed, transfers)
-        sim.run()
-        bits = struct.pack("<d", net.completed_bytes)
-        times = struct.pack(f"<{len(trace)}d", *(t for _i, t in trace))
-        order = tuple(i for i, _t in trace)
-        return (order, times, bits, net.completed_flows,
-                net.vector_assignments, sim.events_processed)
-    finally:
-        _flows.install_waterfill_kernel(prev)
-
-
-def verify_waterfill_variant(name: str, n_res_set: tuple = (1, 2, 3, 5),
-                             seeds: tuple = (11, 12)) -> None:
-    kernel = make_waterfill_kernel(name)
-    for n_res in n_res_set:
-        for seed in seeds:
-            got = _run_flow_case(n_res, seed, kernel)
-            want = _run_flow_case(n_res, seed, None)
-            if got != want:
-                raise KernelVerificationError(
-                    f"{name} diverged from the builtin waterfilling "
-                    f"(n_res={n_res}, seed={seed})")
-
-
 # ---------------------------------------------------------------------------
 # measurement
 # ---------------------------------------------------------------------------
@@ -712,41 +365,9 @@ def bench_dispatch(name: str, quick: bool = False) -> float:
     return max(one() for _ in range(repeats))
 
 
-def bench_waterfill(name: str, n_res: int, quick: bool = False) -> float:
-    """Completed transfers/sec for a flow workload under variant ``name``."""
-    kernel = make_waterfill_kernel(name)
-    transfers = 40 if quick else 120
-    repeats = 2 if quick else 3
-
-    def one() -> float:
-        prev = _flows.installed_waterfill_kernel()
-        _flows.install_waterfill_kernel(kernel)
-        try:
-            sim, net, _trace = _flow_workload(n_res, 77, transfers)
-
-            def run() -> int:
-                sim.run()
-                return net.completed_flows
-
-            return _timed(run)
-        finally:
-            _flows.install_waterfill_kernel(prev)
-
-    one()
-    return max(one() for _ in range(repeats))
-
-
 # ---------------------------------------------------------------------------
 # tuning, receipts, activation
 # ---------------------------------------------------------------------------
-
-def machine_n_res(machine: str) -> int:
-    """Resource-count signature of a paper machine's flow networks: one
-    memory port per NUMA domain plus its inter-domain links."""
-    from repro.hardware.machines import get_machine
-    spec = get_machine(machine)
-    return max(1, (max(spec.socket_domain) + 1) + len(spec.links))
-
 
 def _pick_winner(measured: dict[str, float], generic: str) -> str:
     base = measured.get(generic, 0.0)
@@ -763,28 +384,16 @@ def tune(quick: bool = False, machines: tuple = PAPER_MACHINES,
          log: Callable[[str], None] = lambda s: None) -> dict[str, Any]:
     """Generate, verify, measure; return a fresh receipts dict."""
     rejected: list[dict[str, str]] = []
-
-    def surviving(names, verify) -> list[str]:
-        keep = []
-        for name in names:
-            try:
-                verify(name)
-            except (KernelGenerationError, KernelVerificationError) as exc:
-                rejected.append({"variant": name, "reason": str(exc)})
-                log(f"REJECTED {name}: {exc}")
-                continue
-            keep.append(name)
-        return keep
-
-    n_res_by_machine = {m: machine_n_res(m) for m in machines}
-    wf_names = list(WATERFILL_VARIANTS)
-    for n_res in sorted(set(n_res_by_machine.values())):
-        wf_names.append(f"wf_nres{n_res}")
-
     log("verifying dispatch variants against the builtin + scalar oracle")
-    dx_ok = surviving(DISPATCH_VARIANTS, verify_dispatch_variant)
-    log("verifying waterfill variants against the builtin")
-    wf_ok = surviving(wf_names, verify_waterfill_variant)
+    dx_ok = []
+    for name in DISPATCH_VARIANTS:
+        try:
+            verify_dispatch_variant(name)
+        except (KernelGenerationError, KernelVerificationError) as exc:
+            rejected.append({"variant": name, "reason": str(exc)})
+            log(f"REJECTED {name}: {exc}")
+            continue
+        dx_ok.append(name)
 
     log("measuring dispatch variants")
     dx_measured = {name: bench_dispatch(name, quick) for name in dx_ok}
@@ -793,37 +402,15 @@ def tune(quick: bool = False, machines: tuple = PAPER_MACHINES,
         log(f"  {name}: {v:,.0f} events/s"
             + ("  <- winner" if name == dx_winner else ""))
 
-    machines_out: dict[str, Any] = {}
-    for machine in machines:
-        n_res = n_res_by_machine[machine]
-        candidates = ["wf_generic", "wf_scalarized", f"wf_nres{n_res}"]
-        if n_res == 1:
-            candidates.append("wf_fused_r1")
-        candidates = [c for c in candidates if c in wf_ok]
-        log(f"measuring waterfill variants for {machine} (n_res={n_res})")
-        wf_measured = {name: bench_waterfill(name, n_res, quick)
-                       for name in candidates}
-        wf_winner = _pick_winner(wf_measured, "wf_generic")
-        for name, v in sorted(wf_measured.items(), key=lambda kv: -kv[1]):
-            log(f"  {name}: {v:,.0f} transfers/s"
-                + ("  <- winner" if name == wf_winner else ""))
-        machines_out[machine] = {
-            "n_res": n_res,
-            "dispatch": dx_winner,
-            "waterfill": wf_winner,
-            "measured": {"waterfill": {k: round(v, 1)
-                                       for k, v in wf_measured.items()}},
-        }
-
     return {
         "version": RECEIPTS_VERSION,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "quick": quick,
         "host": host_fingerprint(),
-        "default": {"dispatch": dx_winner, "waterfill": "wf_generic"},
+        "default": {"dispatch": dx_winner},
         "measured": {"dispatch": {k: round(v, 1)
                                   for k, v in dx_measured.items()}},
-        "machines": machines_out,
+        "machines": {machine: {"dispatch": dx_winner} for machine in machines},
         "rejected": rejected,
     }
 
@@ -861,18 +448,17 @@ def _staleness(receipts: Optional[dict]) -> Optional[str]:
 
 def activate(machine: Optional[str] = None,
              path: Optional[str] = None) -> dict[str, Any]:
-    """Install the recorded winners (or keep the builtins when anything is
+    """Install the recorded winner (or keep the builtin when anything is
     off: vector path disabled, receipts missing/stale/unknown variant).
+    A legacy ``waterfill`` entry in the receipts is ignored.
 
     Returns a summary dict: ``{"active": bool, "reason": str | None,
-    "dispatch": name, "waterfill": name}``.
+    "dispatch": name}``.
     """
-    summary = {"active": False, "reason": None,
-               "dispatch": "dx_generic", "waterfill": "wf_generic"}
+    summary = {"active": False, "reason": None, "dispatch": "dx_generic"}
 
     def fallback(reason: str) -> dict[str, Any]:
         _core.install_dispatch_kernel(None)
-        _flows.install_waterfill_kernel(None)
         summary["reason"] = reason
         return summary
 
@@ -885,22 +471,19 @@ def activate(machine: Optional[str] = None,
     entry = (receipts["machines"].get(machine) if machine
              else receipts.get("default")) or receipts.get("default") or {}
     dx = entry.get("dispatch", "dx_generic")
-    wf = entry.get("waterfill", "wf_generic")
-    if dx not in DISPATCH_VARIANTS or not _known_waterfill(wf):
-        return fallback(f"unknown variant in receipts: {dx!r}/{wf!r}")
+    if dx not in DISPATCH_VARIANTS:
+        return fallback(f"unknown variant in receipts: {dx!r}")
     try:
         _core.install_dispatch_kernel(make_dispatch_kernel(dx))
-        _flows.install_waterfill_kernel(make_waterfill_kernel(wf))
     except KernelGenerationError as exc:
         return fallback(f"generation failed: {exc}")
-    summary.update(active=True, dispatch=dx, waterfill=wf)
+    summary.update(active=True, dispatch=dx)
     return summary
 
 
 def deactivate() -> None:
-    """Restore both builtins (test/bench teardown helper)."""
+    """Restore the builtin (test/bench teardown helper)."""
     _core.install_dispatch_kernel(None)
-    _flows.install_waterfill_kernel(None)
 
 
 # ---------------------------------------------------------------------------
@@ -958,34 +541,18 @@ def main(argv: Optional[list] = None) -> int:
         for name in sorted(names):
             verify_dispatch_variant(name)
             print(f"verified {name}: bitwise-identical")
-        wf_names = {receipts["default"]["waterfill"]} | {
-            m["waterfill"] for m in receipts["machines"].values()}
-        for name in sorted(wf_names):
-            verify_waterfill_variant(name)
-            print(f"verified {name}: bitwise-identical")
         return 0
 
     prior = load_receipts(args.receipts)
     receipts = tune(quick=args.quick, machines=machines, log=print)
     if args.verify and prior is not None and _staleness(prior) is None:
-        mismatches = []
-        if prior["default"]["dispatch"] != receipts["default"]["dispatch"]:
-            mismatches.append(
-                f"default dispatch: recorded "
-                f"{prior['default']['dispatch']}, fresh "
-                f"{receipts['default']['dispatch']}")
-        for machine, entry in receipts["machines"].items():
-            old = prior.get("machines", {}).get(machine)
-            if old and old.get("waterfill") != entry["waterfill"]:
-                mismatches.append(
-                    f"{machine} waterfill: recorded {old['waterfill']}, "
-                    f"fresh {entry['waterfill']}")
-        if mismatches:
+        recorded = prior["default"]["dispatch"]
+        fresh = receipts["default"]["dispatch"]
+        if recorded != fresh:
             print("receipts do NOT reproduce:")
-            for m in mismatches:
-                print(f"  {m}")
+            print(f"  default dispatch: recorded {recorded}, fresh {fresh}")
             return 1
-        print("receipts reproduce the recorded winners")
+        print("receipts reproduce the recorded winner")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(receipts, fh, indent=2, sort_keys=True)
         fh.write("\n")

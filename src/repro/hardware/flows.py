@@ -18,22 +18,24 @@ flow-level approximation used in network simulation, applied here to the
 memory system.  This reproduces the contention phenomena the paper leans
 on: a linear broadcast saturating the root's memory port, FIFO double copies
 loading a controller twice, and cross-board traffic crowding IG's interlink.
+
+A rebalance's rates are a pure function of the id-ordered sequence of flow
+signatures ``(demand, ((resource, weight, streams), ...))``, and collective
+schedules keep re-creating the same flow sets, so each network memoises its
+rate assignments on that sequence (the lazy-recomputation idea of SimGrid's
+LMM solver, kept exact: a hit returns the very floats a solve would).
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import insort
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
-import numpy as np
-
-from repro import vector as _vector
 from repro.errors import SimulationError
 from repro.simtime.core import Event, Simulator
 
-__all__ = ["Resource", "Flow", "FlowNetwork",
-           "install_waterfill_kernel", "installed_waterfill_kernel"]
+__all__ = ["Resource", "Flow", "FlowNetwork"]
 
 #: Bytes below which a flow is considered finished.  A quarter byte is far
 #: below physical relevance but large enough that the completion horizon
@@ -41,46 +43,16 @@ __all__ = ["Resource", "Flow", "FlowNetwork",
 _EPS_BYTES = 0.25
 #: Rate below which a resource is considered saturated.
 _EPS_RATE = 1e-3
+#: Weight sum at or below which a resource no longer constrains filling.
+_EPS_WSUM = 1e-12
+#: Memoised rate assignments kept per network; the table is cleared when it
+#: fills (a sweep cell rarely revisits a flow set after that many others).
+_MEMO_LIMIT = 4096
 
 
 def _flow_id(f: "Flow") -> int:
     """Sort key for deterministic flow iteration (creation order)."""
     return f.id
-
-
-#: Optional replacement for :meth:`FlowNetwork._assign_rates_vec`, installed
-#: by the measured-kernel machinery (:mod:`repro.bench.kernels`).  A kernel
-#: is ``fn(net, ordered)`` operating on the network's resident vector state;
-#: ``None`` (the default, and the fallback when receipts are stale) keeps
-#: the generic resident-numpy waterfilling.
-_WATERFILL_KERNEL: Optional[Callable[["FlowNetwork", list], None]] = None
-
-
-def install_waterfill_kernel(
-        fn: Optional[Callable[["FlowNetwork", list], None]]) -> None:
-    """Install a generated waterfill kernel (``None`` restores generic)."""
-    global _WATERFILL_KERNEL
-    _WATERFILL_KERNEL = fn
-
-
-def installed_waterfill_kernel() -> Optional[Callable]:
-    return _WATERFILL_KERNEL
-
-
-def _row_sum(rows: "np.ndarray") -> "np.ndarray":
-    """Column sums by strictly sequential row accumulation.
-
-    ``np.add.reduce(rows, axis=0)`` is row-sequential only while the
-    reduction axis is strided; with a single column the data is contiguous
-    and numpy switches to pairwise summation, which rounds differently from
-    the scalar path's one-by-one adds.  The explicit loop pins the
-    association order for every shape, which the bitwise scalar/vector
-    equivalence contract requires.
-    """
-    out = np.zeros(rows.shape[1])
-    for row in rows:
-        out += row
-    return out
 
 
 class Resource:
@@ -90,11 +62,12 @@ class Resource:
     under many concurrent streams (DRAM row-buffer and bank-locality loss):
     beyond ``knee`` simultaneous flows, effective capacity shrinks as
     ``capacity / (1 + alpha * (n - knee))``.  Zero alpha disables it
-    (links, copy engines).
+    (links, copy engines).  The parameters are fixed at construction, which
+    is what lets a network memoise rate assignments.
     """
 
     __slots__ = ("name", "capacity", "flows", "contention_knee",
-                 "contention_alpha")
+                 "contention_alpha", "threshold")
 
     def __init__(self, name: str, capacity: float, contention_knee: int = 0,
                  contention_alpha: float = 0.0):
@@ -106,6 +79,8 @@ class Resource:
         self.capacity = capacity
         self.contention_knee = contention_knee
         self.contention_alpha = contention_alpha
+        #: residual capacity at or below which the resource is saturated
+        self.threshold = _EPS_RATE * max(1.0, capacity / 1e9)
         #: live flows traversing this resource (maintained by the network)
         self.flows: set["Flow"] = set()
 
@@ -141,8 +116,8 @@ class Flow:
     the memory system counts them fractionally.
     """
 
-    __slots__ = ("id", "demand", "weights", "remaining", "rate", "event",
-                 "label", "streams")
+    __slots__ = ("id", "demand", "weights", "nbytes", "remaining", "rate",
+                 "event", "label", "streams", "terms", "sig")
 
     _ids = itertools.count(1)
 
@@ -156,11 +131,18 @@ class Flow:
         self.id = next(Flow._ids)
         self.demand = demand
         self.weights = weights
-        self.remaining = float(nbytes)
+        self.nbytes = float(nbytes)
+        self.remaining = self.nbytes
         self.rate = 0.0
         self.event = event
         self.label = label
         self.streams = streams or {}
+        #: ``(resource, weight, streams)`` per traversed resource, in the
+        #: order of ``weights`` (which fixes the solver's resource order)
+        self.terms = tuple((r, w, self.streams.get(r, 1.0))
+                           for r, w in weights.items())
+        #: interned ``(demand, terms)``, set by the network at admission
+        self.sig = -1
 
     def streams_on(self, res: Resource) -> float:
         return self.streams.get(res, 1.0)
@@ -173,62 +155,33 @@ class Flow:
 class FlowNetwork:
     """Tracks active flows, assigns fair rates, fires completion events.
 
-    ``vectorized`` selects the numpy waterfilling path (``None`` = the
-    process-wide ``REPRO_VECTOR`` default).  The scalar path remains the
-    oracle: both produce **bitwise-identical** rates, byte accounts, and
-    wake horizons — every elementwise numpy operation used (multiply,
-    subtract, divide, first-occurrence argmin, row-order ``add.reduce``)
-    is IEEE-equal to its Python-scalar counterpart, and every float
-    accumulation walks flows in creation-id order in both paths.  The
-    differential battery in tests/hardware/test_vector_flows.py locks
-    this; ``vector_min_flows`` gates the numpy path to rebalances large
-    enough to amortize array construction (safe to flip mid-run precisely
-    because the paths are indistinguishable).
+    Every rebalance runs :meth:`_assign_rates` unless the network already
+    solved the same id-ordered sequence of flow signatures, in which case
+    the stored rates are reused — bitwise the floats a fresh solve yields,
+    since the solve reads nothing but those signatures and the resources'
+    construction-time parameters.
     """
 
-    def __init__(self, sim: Simulator, vectorized: Optional[bool] = None):
+    #: always 0: there is one solver, counted in ``scalar_assignments``
+    vector_assignments = 0
+
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.vectorized = _vector.enabled() if vectorized is None else vectorized
-        #: smallest active-flow count routed to the numpy waterfilling
-        #: (below it the scalar path is faster; tests set 0 to force numpy)
-        self.vector_min_flows = 8
-        self._active: set[Flow] = set()
+        #: active flows in creation-id order
+        self._active: list[Flow] = []
         self._last_update = 0.0
         self._wake_generation = 0
         self._rebalance_pending = False
+        #: flow signature -> small int, and the memo keyed on their tuples
+        self._sig_ids: dict[tuple, int] = {}
+        self._memo: dict[tuple, list[float]] = {}
         #: lifetime statistics
         self.completed_flows = 0
         self.completed_bytes = 0.0
-        #: rate assignments executed by each implementation (diagnostics;
-        #: the differential tests assert the intended path actually ran)
+        #: rebalances executed (memo hits included)
         self.scalar_assignments = 0
-        self.vector_assignments = 0
-        # --- resident vector state (see _vec_add/_vec_remove) ---------------
-        # Slot-row incidence matrices held between rebalances: each active
-        # flow owns a row (recycled through a freelist), each resource ever
-        # seen owns a column in global first-seen order.  A rebalance
-        # gathers rows in flow-id order instead of rebuilding the matrices
-        # from dicts per call.  Column order only influences np.argmin
-        # tie-breaks, which only pick the *label* of the bottleneck; every
-        # saturated resource freezes through the sat-threshold mask
-        # regardless, so results stay bitwise-identical to the scalar path
-        # (the differential battery in tests/hardware/test_vector_flows.py
-        # holds this to account).
-        self._ordered: list[Flow] = []     # id-ordered mirror of _active
-        self._vslot: dict[Flow, int] = {}  # flow -> row slot
-        self._vfree: list[int] = []        # recycled row slots
-        self._vnext_row = 0                # next never-used row slot
-        self._vres_index: dict[Resource, int] = {}  # resource -> column
-        self._vres_list: list[Resource] = []
-        self._vW = np.zeros((0, 0))        # slot-row weight matrix
-        self._vS = np.zeros((0, 0))        # slot-row stream matrix
-        self._vcaps = np.zeros(0)          # per-column capacity
-        self._vknee = np.zeros(0)          # per-column contention knee
-        self._valpha = np.zeros(0)         # per-column contention alpha
-        self._vthresh = np.zeros(0)        # per-column saturation threshold
-        #: resident state mirrors _active (goes stale when flows change
-        #: while ``vectorized`` is off; the next vector rebalance rebuilds)
-        self._vclean = True
+        #: rebalances served from the memo
+        self.memo_hits = 0
 
     # -- public API ---------------------------------------------------------
     def transfer(
@@ -266,13 +219,17 @@ class FlowNetwork:
     # -- internals ----------------------------------------------------------
     def _admit(self, flow: Flow) -> None:
         self._advance()
-        self._active.add(flow)
+        sig_ids = self._sig_ids
+        flow.sig = sig_ids.setdefault((flow.demand, flow.terms), len(sig_ids))
+        # Flow ids rise monotonically, so admits append in id order — except
+        # latency-delayed admits, which can arrive out of creation order.
+        active = self._active
+        if not active or active[-1].id < flow.id:
+            active.append(flow)
+        else:
+            insort(active, flow, key=_flow_id)
         for res in flow.weights:
             res.flows.add(flow)
-        if self.vectorized:
-            self._vec_add(flow)
-        else:
-            self._vclean = False
         # Defer the (expensive) reassignment to a zero-delay event so a burst
         # of same-instant arrivals — e.g. every leaf of a broadcast tree
         # starting its segment copy together — pays for one rebalance.
@@ -285,111 +242,6 @@ class FlowNetwork:
         self._advance()
         self._rebalance()
 
-    def _retire(self, flow: Flow) -> None:
-        self._active.discard(flow)
-        for res in flow.weights:
-            res.flows.discard(flow)
-        if self.vectorized:
-            self._vec_remove(flow)
-        else:
-            self._vclean = False
-        self.completed_flows += 1
-
-    # -- resident vector state ----------------------------------------------
-    def _vcol_add(self, res: Resource) -> None:
-        """Give ``res`` a column (global first-seen order, grown amortized)."""
-        j = len(self._vres_list)
-        if j >= self._vcaps.shape[0]:
-            new_cols = max(16, 2 * j)
-            rows = self._vW.shape[0]
-            for attr in ("_vW", "_vS"):
-                grown = np.zeros((rows, new_cols))
-                old = getattr(self, attr)
-                grown[:, :old.shape[1]] = old
-                setattr(self, attr, grown)
-            for attr in ("_vcaps", "_vknee", "_valpha", "_vthresh"):
-                grown = np.zeros(new_cols)
-                old = getattr(self, attr)
-                grown[:old.shape[0]] = old
-                setattr(self, attr, grown)
-        self._vres_index[res] = j
-        self._vres_list.append(res)
-        self._vcaps[j] = res.capacity
-        self._vknee[j] = res.contention_knee
-        self._valpha[j] = res.contention_alpha
-        self._vthresh[j] = _EPS_RATE * max(1.0, res.capacity / 1e9)
-
-    def _vrow_alloc(self) -> int:
-        """Hand out a zeroed row slot (freelist first, then amortized growth)."""
-        free = self._vfree
-        if free:
-            return free.pop()
-        slot = self._vnext_row
-        self._vnext_row += 1
-        if slot >= self._vW.shape[0]:
-            new_rows = max(16, 2 * (slot + 1))
-            cols = self._vW.shape[1]
-            for attr in ("_vW", "_vS"):
-                grown = np.zeros((new_rows, cols))
-                old = getattr(self, attr)
-                grown[:old.shape[0]] = old
-                setattr(self, attr, grown)
-        return slot
-
-    def _vec_add(self, flow: Flow) -> None:
-        """Incremental resident-state update for one admitted flow."""
-        if not self._vclean:
-            return  # stale; the next vector rebalance rebuilds in bulk
-        index = self._vres_index
-        for r in flow.weights:
-            if r not in index:
-                self._vcol_add(r)
-        slot = self._vrow_alloc()
-        self._vslot[flow] = slot
-        row_w = self._vW[slot]
-        row_s = self._vS[slot]
-        for r, w in flow.weights.items():
-            j = index[r]
-            row_w[j] = w
-            row_s[j] = flow.streams_on(r)
-        # Flow ids rise monotonically, so admits append in id order — except
-        # latency-delayed admits, which can arrive out of creation order.
-        ordered = self._ordered
-        if not ordered or ordered[-1].id < flow.id:
-            ordered.append(flow)
-        else:
-            insort(ordered, flow, key=_flow_id)
-
-    def _vec_remove(self, flow: Flow) -> None:
-        """Incremental resident-state update for one retired flow."""
-        if not self._vclean:
-            return
-        slot = self._vslot.pop(flow, None)
-        if slot is None:
-            # Admitted while the resident state was stale or vectorized was
-            # off: the mirror is inconsistent — rebuild at next rebalance.
-            self._vclean = False
-            return
-        self._vW[slot].fill(0.0)
-        self._vS[slot].fill(0.0)
-        self._vfree.append(slot)
-        self._ordered.remove(flow)
-
-    def _vec_sync(self) -> list[Flow]:
-        """Return the id-ordered active flows, rebuilding resident state
-        if flow arrivals/departures happened while it was stale."""
-        if not self._vclean:
-            self._vslot.clear()
-            self._vfree.clear()
-            self._vnext_row = 0
-            self._vW[:, :] = 0.0
-            self._vS[:, :] = 0.0
-            self._ordered = []
-            self._vclean = True
-            for flow in sorted(self._active, key=_flow_id):
-                self._vec_add(flow)
-        return self._ordered
-
     def _advance(self) -> None:
         """Account bytes transferred since the last state change."""
         now = self.sim.now
@@ -397,226 +249,111 @@ class FlowNetwork:
         self._last_update = now
         if dt <= 0:
             return
-        active = self._active
-        if self.vectorized and len(active) >= self.vector_min_flows:
-            # Per-flow byte accounts are independent elementwise IEEE ops,
-            # bitwise-equal to the scalar loop (zero-rate flows subtract an
-            # exact 0.0).  Only ``completed_bytes`` — a tolerance-compared
-            # lifetime stat whose scalar accumulation order is already
-            # address-dependent — is summed in id order instead.
-            ordered = (self._ordered if self._vclean
-                       else sorted(active, key=_flow_id))
-            count = len(ordered)
-            moved = np.fromiter((f.remaining for f in ordered), np.float64,
-                                count=count)
-            rates = np.fromiter((f.rate for f in ordered), np.float64,
-                                count=count)
-            rates *= dt  # now the per-flow bytes moved
-            moved -= rates  # now the new per-flow remaining bytes
-            for flow, rem in zip(ordered, moved.tolist()):
-                flow.remaining = rem
-            self.completed_bytes += float(np.add.reduce(rates))
-            return
-        for flow in active:
+        for flow in self._active:
             if flow.rate > 0:
-                moved = flow.rate * dt
-                flow.remaining -= moved
-                self.completed_bytes += moved
+                flow.remaining -= flow.rate * dt
 
     def _rebalance(self) -> None:
         """Recompute max-min fair rates and reschedule the next completion."""
-        # Sorted by creation id so completion events fire in a
-        # memory-layout-independent order (see _assign_rates).
-        finished = sorted(
-            (f for f in self._active if f.remaining <= _EPS_BYTES), key=_flow_id)
-        for flow in finished:
-            self._retire(flow)
-        if self.vectorized and len(self._active) >= self.vector_min_flows:
-            self.vector_assignments += 1
-            ordered = self._vec_sync()
-            kernel = _WATERFILL_KERNEL
-            if kernel is not None:
-                kernel(self, ordered)
-            else:
-                self._assign_rates_vec(ordered)
+        # Retired in creation-id order so completion events fire in a
+        # memory-layout-independent order.
+        active = self._active
+        finished = [f for f in active if f.remaining <= _EPS_BYTES]
+        if finished:
+            self._active = active = [f for f in active
+                                     if f.remaining > _EPS_BYTES]
+            for flow in finished:
+                for res in flow.weights:
+                    res.flows.discard(flow)
+                self.completed_bytes += flow.nbytes
+            self.completed_flows += len(finished)
+        self.scalar_assignments += 1
+        key = tuple([f.sig for f in active])
+        memo = self._memo
+        rates = memo.get(key)
+        if rates is None:
+            self._assign_rates(active)
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            memo[key] = [f.rate for f in active]
         else:
-            self.scalar_assignments += 1
-            self._assign_rates(self._active)
+            self.memo_hits += 1
+            for f, rate in zip(active, rates):
+                f.rate = rate
         for flow in finished:
             flow.remaining = 0.0
             flow.event.succeed(None)
         self._schedule_wake()
 
     @staticmethod
-    def _assign_rates(flows: Iterable[Flow]) -> None:
+    def _assign_rates(ordered: list[Flow]) -> None:
         """Weighted progressive filling over the union of traversed resources.
 
-        Incremental bookkeeping keeps each filling round O(|flows| +
-        |resources|): per-resource weight sums and member sets shrink as
-        flows freeze, instead of being recomputed from scratch.
+        ``ordered`` holds the flows in creation-id order, and every float
+        accumulation walks them in that order.  Flow ids are per-process
+        creation counters, identical for the same cell in any process; an
+        address-keyed order would give ULP-different rates from run to run
+        and break the byte-identical serial/parallel CSV guarantee.
 
-        Every float accumulation here walks flows in creation-id order.
-        Flow ids are per-process creation counters, identical for the same
-        cell in any process; raw set order is keyed on object addresses, so
-        summing in it would give ULP-different rates from run to run and
-        break the byte-identical serial/parallel CSV guarantee.
+        Resources are indexed in first-seen order (flows in id order, each
+        flow's terms in order), which fixes the bottleneck tie-break.  A
+        filling round only visits resources whose weight sum is still above
+        ``_EPS_WSUM``: sums only decrease, so a resource that drops out never
+        constrains a later round.
         """
-        ordered = sorted(flows, key=_flow_id)
-        for f in ordered:
+        n = len(ordered)
+        index: dict[Resource, int] = {}
+        resources: list[Resource] = []
+        wsum: list[float] = []
+        nstreams: list[float] = []
+        members: list[list[int]] = []  # flow positions per resource
+        for i, f in enumerate(ordered):
             f.rate = 0.0
-        residual: dict[Resource, float] = {}
-        wsum: dict[Resource, float] = {}
-        members: dict[Resource, set[Flow]] = {}
-        streams: dict[Resource, float] = {}
-        for f in ordered:
-            for r, w in f.weights.items():
-                wsum[r] = wsum.get(r, 0.0) + w
-                streams[r] = streams.get(r, 0.0) + f.streams_on(r)
-                try:
-                    members[r].add(f)
-                except KeyError:
-                    members[r] = {f}
-        for r, n in streams.items():
-            residual[r] = r.effective_capacity(int(round(n)))
+            for r, w, s in f.terms:
+                j = index.get(r)
+                if j is None:
+                    index[r] = j = len(resources)
+                    resources.append(r)
+                    # 0.0 + w is w: weights are positive, and stream sums
+                    # only feed round()
+                    wsum.append(w)
+                    nstreams.append(s)
+                    members.append([i])
+                else:
+                    wsum[j] += w
+                    nstreams[j] += s
+                    members[j].append(i)
+        residual = [r.effective_capacity(int(round(s))) if r.contention_alpha
+                    else r.capacity for r, s in zip(resources, nstreams)]
+        thresh = [r.threshold for r in resources]
+        live = [j for j, ws in enumerate(wsum) if ws > _EPS_WSUM]
 
-        unfrozen = set(ordered)
-
-        def freeze(f: Flow) -> None:
-            for r, w in f.weights.items():
-                wsum[r] -= w
-                members[r].discard(f)
-
+        unfrozen = [True] * n
+        left = n
         # All unfrozen flows carry the same uniform rate, so flows freeze on
         # their demand caps in ascending-demand order: a sorted sweep frees
         # whole batches per filling round instead of one flow at a time.
-        # (Stable sort over the id-ordered list: demand ties break by id.)
-        by_demand = sorted(ordered, key=lambda f: f.demand)
+        # (Stable sort over id-ordered positions: demand ties break by id.)
+        demands = [f.demand for f in ordered]
+        by_demand = sorted(range(n), key=demands.__getitem__)
         demand_ptr = 0
         rate = 0.0  # the uniform rate every unfrozen flow has received
-        while unfrozen:
+        while left:
             # Largest uniform rate increment every unfrozen flow can take.
-            while demand_ptr < len(by_demand) and by_demand[demand_ptr] not in unfrozen:
-                demand_ptr += 1
-            inc = (by_demand[demand_ptr].demand - rate
-                   if demand_ptr < len(by_demand) else float("inf"))
-            bottleneck: Optional[Resource] = None
-            for r, cap_left in residual.items():
-                ws = wsum[r]
-                if ws <= 1e-12:
-                    continue
-                r_inc = cap_left / ws
-                if r_inc < inc:
-                    inc = r_inc
-                    bottleneck = r
-            if inc < 0:
-                inc = 0.0
-            rate += inc
-            for r in residual:
-                residual[r] -= inc * wsum[r]
-            frozen: set[Flow] = set()
-            # Demand-capped flows: ascending sweep from the pointer.
-            while demand_ptr < len(by_demand):
-                f = by_demand[demand_ptr]
-                if f not in unfrozen:
-                    demand_ptr += 1
-                    continue
-                if f.demand - rate > _EPS_RATE:
-                    break
-                frozen.add(f)
-                demand_ptr += 1
-            # Flows on saturated resources.
-            if bottleneck is not None and residual[bottleneck] <= \
-                    _EPS_RATE * max(1.0, bottleneck.capacity / 1e9):
-                frozen |= members[bottleneck]
-            for r, cap_left in residual.items():
-                if r is not bottleneck and wsum[r] > 1e-12 and \
-                        cap_left <= _EPS_RATE * max(1.0, r.capacity / 1e9):
-                    frozen |= members[r]
-            if not frozen:
-                if bottleneck is None:
-                    break  # all demand-capped; loop would have frozen them
-                frozen = set(members[bottleneck])
-            # wsum decrements are float subtractions: fixed order again.
-            for f in sorted(frozen, key=_flow_id):
-                f.rate = rate
-                freeze(f)
-            unfrozen -= frozen
-        for f in unfrozen:  # pragma: no cover - loop always drains
-            f.rate = rate
-
-    def _assign_rates_vec(self, ordered: list[Flow]) -> None:
-        """Numpy waterfilling, bitwise-identical to :meth:`_assign_rates`.
-
-        Equality holds operation by operation, not approximately:
-
-        - column sums accumulate rows sequentially (:func:`_row_sum`), so
-          the weight/stream totals reproduce the scalar loop's id-ordered
-          accumulation (absent flows contribute an exact ``+0.0``);
-        - elementwise multiply/subtract/divide are the same correctly-rounded
-          IEEE operations the scalar path applies per resource;
-        - ``np.argmin`` returns the *first* minimum, matching the scalar
-          running strict-``<`` scan over first-seen resource order;
-        - freezes subtract whole weight rows in flow-id order, mirroring the
-          scalar per-resource ``wsum`` decrements (``x - 0.0 == x``).
-
-        Every scalar crossing back into simulator state (``f.rate``,
-        comparisons against python floats) is converted with ``float()`` so
-        no ``np.float64`` leaks into the event queue or the JSONL journal.
-        """
-        n = len(ordered)
-        if n == 0:
-            return
-        # Gather the resident slot rows in flow-id order.  Columns beyond
-        # the current flows' resources carry all-zero weight sums and are
-        # masked off by ``live`` below; their ``+0.0`` contributions to the
-        # row sums are bitwise-neutral (weights are positive, so no partial
-        # sum is ever ``-0.0``).
-        n_res = len(self._vres_list)
-        slots = self._vslot
-        idx = [slots[f] for f in ordered]
-        weight_rows = self._vW[idx][:, :n_res]
-        stream_rows = self._vS[idx][:, :n_res]
-        for f in ordered:
-            f.rate = 0.0
-        wsum = _row_sum(weight_rows)
-        # Vectorized effective capacity, elementwise IEEE-equal to the
-        # scalar Resource.effective_capacity: the stream counts are exact
-        # small integers in float (np.round is the same half-to-even as
-        # round()), the denominator is exactly 1.0 whenever alpha is zero
-        # or the count is at/below the knee, and x / 1.0 == x bitwise.
-        excess = np.maximum(np.round(_row_sum(stream_rows)) - self._vknee[:n_res],
-                            0.0)
-        residual = self._vcaps[:n_res] / (1.0 + self._valpha[:n_res] * excess)
-        sat_thresh = self._vthresh[:n_res]
-
-        demands = [f.demand for f in ordered]
-        # Stable argsort ties break by index (= creation id), matching the
-        # scalar stable sort over the id-ordered list.
-        by_demand = np.argsort(np.asarray(demands), kind="stable").tolist()
-        unfrozen = np.ones(n, dtype=bool)
-        n_unfrozen = n
-        demand_ptr = 0
-        rate = 0.0
-        inf = float("inf")
-        while n_unfrozen:
             while demand_ptr < n and not unfrozen[by_demand[demand_ptr]]:
                 demand_ptr += 1
-            inc = demands[by_demand[demand_ptr]] - rate if demand_ptr < n else inf
+            inc = (demands[by_demand[demand_ptr]] - rate
+                   if demand_ptr < n else float("inf"))
             bottleneck = -1
-            live = wsum > 1e-12
-            if live.any():
-                r_inc = (np.where(live, residual, inf)
-                         / np.where(live, wsum, 1.0))
-                j = int(np.argmin(r_inc))
-                j_inc = float(r_inc[j])
-                if j_inc < inc:
-                    inc = j_inc
+            for j in live:
+                r_inc = residual[j] / wsum[j]
+                if r_inc < inc:
+                    inc = r_inc
                     bottleneck = j
             if inc < 0:
                 inc = 0.0
             rate += inc
-            residual -= inc * wsum
-            frozen = np.zeros(n, dtype=bool)
+            frozen: set[int] = set()
             # Demand-capped flows: ascending sweep from the pointer.
             while demand_ptr < n:
                 i = by_demand[demand_ptr]
@@ -625,49 +362,42 @@ class FlowNetwork:
                     continue
                 if demands[i] - rate > _EPS_RATE:
                     break
-                frozen[i] = True
+                frozen.add(i)
                 demand_ptr += 1
-            # Unfrozen members of saturated resources.  ``live`` predates
-            # the residual update but ``wsum`` has not changed since.
-            sat = live & (residual <= sat_thresh)
-            if sat.any():
-                frozen |= unfrozen & (weight_rows[:, sat] != 0.0).any(axis=1)
-            if not frozen.any():
+            # Flows on saturated resources.
+            for j in live:
+                cap_left = residual[j] - inc * wsum[j]
+                residual[j] = cap_left
+                if cap_left <= thresh[j]:
+                    frozen.update(i for i in members[j] if unfrozen[i])
+            if not frozen:
                 if bottleneck < 0:
                     break  # all demand-capped; loop would have frozen them
-                frozen = unfrozen & (weight_rows[:, bottleneck] != 0.0)
-            # Freeze in id order; whole-row wsum decrements reproduce the
-            # scalar per-resource subtractions bit for bit.
-            frozen_idx = np.nonzero(frozen)[0].tolist()
-            for i in frozen_idx:
+                frozen = {i for i in members[bottleneck] if unfrozen[i]}
+            left -= len(frozen)
+            for i in frozen:
                 ordered[i].rate = rate
-                wsum -= weight_rows[i]
-            unfrozen &= ~frozen
-            n_unfrozen -= len(frozen_idx)
-        if n_unfrozen:  # pragma: no cover - loop always drains
-            for i in np.nonzero(unfrozen)[0].tolist():
-                ordered[i].rate = rate
+                unfrozen[i] = False
+            if not left:
+                break
+            # wsum decrements are float subtractions: fixed order again.
+            for i in sorted(frozen):
+                for r, w, _ in ordered[i].terms:
+                    wsum[index[r]] -= w
+            live = [j for j in live if wsum[j] > _EPS_WSUM]
+        if left:  # pragma: no cover - loop always drains
+            for i in range(n):
+                if unfrozen[i]:
+                    ordered[i].rate = rate
 
     def _schedule_wake(self) -> None:
         self._wake_generation += 1
         if not self._active:
             return
-        if self.vectorized and len(self._active) >= self.vector_min_flows:
-            count = len(self._active)
-            rems = np.fromiter((f.remaining for f in self._active), np.float64,
-                               count=count)
-            rates = np.fromiter((f.rate for f in self._active), np.float64,
-                                count=count)
-            pos = rates > 0.0
-            # Elementwise division + min: same value the scalar generator
-            # finds (min is order-independent over exact quotients).
-            horizon = (float(np.min(rems[pos] / rates[pos]))
-                       if pos.any() else None)
-        else:
-            horizon = min(
-                (f.remaining / f.rate for f in self._active if f.rate > 0),
-                default=None,
-            )
+        horizon = min(
+            (f.remaining / f.rate for f in self._active if f.rate > 0),
+            default=None,
+        )
         if horizon is None:
             raise SimulationError(
                 "flow network stalled: active flows but no positive rates"

@@ -55,12 +55,11 @@ class Machine:
                  trace: bool = False, vector: Optional[bool] = None):
         self.spec = spec
         # ``vector=None`` defers to the process-wide REPRO_VECTOR flag for
-        # both fast paths (event-cohort dispatch + numpy flow updates); an
-        # explicit bool pins this machine for differential tests.
+        # event-cohort dispatch; an explicit bool pins this machine for
+        # differential tests.
         self.sim = Simulator(cohort=vector)
         self.tracer = Tracer(clock=lambda: self.sim.now, enabled=trace)
-        self.mem = MemorySystem(self.sim, spec, tracer=self.tracer,
-                                vectorized=vector)
+        self.mem = MemorySystem(self.sim, spec, tracer=self.tracer)
         self.costs = costs or KernelCosts()
         self.shm = ShmWorld(self.sim, spec, self.mem, costs=self.costs)
         self.knem = KnemDriver(self.sim, self.mem, costs=self.costs,

@@ -1,18 +1,13 @@
 """Process-wide switch for the vectorized event-cohort fast path.
 
-Two engine layers consult this flag:
+:class:`repro.simtime.core.Simulator` consults this flag for cohort
+dispatch: events that are ready at the same simulated instant are drained
+from the heap as one batch instead of one heap transaction per event.
 
-- :class:`repro.simtime.core.Simulator` — cohort dispatch: events that are
-  ready at the same simulated instant are drained from the heap as one
-  batch instead of one heap transaction per event;
-- :class:`repro.hardware.flows.FlowNetwork` — numpy-vectorized
-  flow-capacity updates (byte accounting, completion horizon, and the
-  weighted max-min waterfilling) instead of one-Python-object-per-event.
-
-The scalar paths remain the oracle: both implementations are locked
-byte-identical by the differential test battery (tests/hardware/
-test_vector_flows.py, tests/bench/test_vector_oracle.py), so flipping the
-flag may change wall-clock speed but never a simulated result.
+The scalar event loop remains the oracle: both are locked byte-identical by
+the differential test battery (tests/simtime/test_cohort.py,
+tests/integration/test_vector_oracle.py), so flipping the flag may change
+wall-clock speed but never a simulated result.
 
 The default comes from the ``REPRO_VECTOR`` environment variable (``1``,
 ``true``, ``yes``, ``on`` enable it) so whole sweeps — including forked

@@ -16,7 +16,6 @@ import pytest
 
 from repro import vector
 from repro.bench import kernels as K
-from repro.hardware import flows as _flows
 from repro.simtime import core as _core
 
 
@@ -32,12 +31,9 @@ def write_receipts(path, **overrides) -> str:
         "generated_at": "2026-01-01T00:00:00Z",
         "quick": True,
         "host": K.host_fingerprint(),
-        "default": {"dispatch": "dx_generic", "waterfill": "wf_generic"},
+        "default": {"dispatch": "dx_generic"},
         "measured": {},
-        "machines": {
-            "dancer": {"n_res": 3, "dispatch": "dx_drain",
-                       "waterfill": "wf_scalarized", "measured": {}},
-        },
+        "machines": {"dancer": {"dispatch": "dx_drain"}},
         "rejected": [],
     }
     receipts.update(overrides)
@@ -71,45 +67,28 @@ class TestGeneration:
             if kernel is not None:  # the builtin maps to None
                 assert f"def {name}" in kernel.generated_source
 
-    def test_wf_nres_names_parse_and_unknown_names_do_not(self):
-        assert K._known_waterfill("wf_nres7")
-        assert K._known_waterfill("wf_generic")
-        assert not K._known_waterfill("wf_bogus")
-        assert not K._known_waterfill("wf_nres")
-
 
 class TestBattery:
     @pytest.mark.parametrize("name", sorted(K.DISPATCH_VARIANTS))
     def test_dispatch_variants_bitwise_identical(self, name):
         K.verify_dispatch_variant(name, seeds=(1,))
 
-    @pytest.mark.parametrize("name",
-                             ["wf_generic", "wf_scalarized", "wf_fused_r1",
-                              "wf_nres3"])
-    def test_waterfill_variants_bitwise_identical(self, name):
-        K.verify_waterfill_variant(name, n_res_set=(1, 3), seeds=(11,))
-
     def test_broken_kernel_fails_the_battery(self, monkeypatch):
-        # Sabotage a generated waterfill: the battery must catch it.
-        real = K.make_waterfill_kernel
+        # Sabotage a generated drain loop: the battery must catch it.
+        real = K.make_dispatch_kernel
 
         def sabotaged(name):
             kernel = real(name)
-            if kernel is None:
-                return None
 
-            def wrong(net, ordered):
-                result = kernel(net, ordered)
-                for flow in ordered:
-                    flow.rate *= 1.0000001
-                return result
+            def wrong(sim, horizon):
+                kernel(sim, horizon)
+                sim.events_processed += 1
 
             return wrong
 
-        monkeypatch.setattr(K, "make_waterfill_kernel", sabotaged)
+        monkeypatch.setattr(K, "make_dispatch_kernel", sabotaged)
         with pytest.raises(K.KernelVerificationError):
-            K.verify_waterfill_variant("wf_scalarized",
-                                       n_res_set=(3,), seeds=(11,))
+            K.verify_dispatch_variant("dx_drain", seeds=(1,))
 
 
 class TestReceipts:
@@ -147,12 +126,22 @@ class TestActivate:
             summary = K.activate(machine="dancer", path=path)
         assert summary["active"] is True
         assert summary["dispatch"] == "dx_drain"
-        assert summary["waterfill"] == "wf_scalarized"
         assert _core._DISPATCH_KERNEL is not None
-        assert _flows._WATERFILL_KERNEL is not None
         K.deactivate()
         assert _core._DISPATCH_KERNEL is None
-        assert _flows._WATERFILL_KERNEL is None
+
+    def test_legacy_waterfill_entries_are_ignored(self, tmp_path):
+        # Receipts recorded while waterfill variants existed still activate
+        # their dispatch winner.
+        path = write_receipts(
+            tmp_path / "r.json",
+            default={"dispatch": "dx_generic", "waterfill": "wf_generic"},
+            machines={"zoot": {"n_res": 1, "dispatch": "dx_split",
+                               "waterfill": "wf_fused_r1"}})
+        with vector.forced(True):
+            summary = K.activate(machine="zoot", path=path)
+        assert summary == {"active": True, "reason": None,
+                           "dispatch": "dx_split"}
 
     def test_unknown_machine_falls_back_to_default_entry(self, tmp_path):
         path = write_receipts(tmp_path / "r.json")
@@ -160,7 +149,6 @@ class TestActivate:
             summary = K.activate(machine="not-a-machine", path=path)
         assert summary["active"] is True
         assert summary["dispatch"] == "dx_generic"
-        assert summary["waterfill"] == "wf_generic"
 
     def test_vector_disabled_keeps_builtins(self, tmp_path):
         path = write_receipts(tmp_path / "r.json")
@@ -182,7 +170,7 @@ class TestActivate:
     def test_unknown_variant_in_receipts_keeps_builtins(self, tmp_path):
         path = write_receipts(
             tmp_path / "r.json",
-            default={"dispatch": "dx_borrowed", "waterfill": "wf_generic"})
+            default={"dispatch": "dx_borrowed"})
         with vector.forced(True):
             summary = K.activate(path=path)
         assert summary["active"] is False
@@ -199,9 +187,3 @@ class TestWinnerSelection:
         measured = {"dx_generic": 100.0,
                     "dx_drain": 100.0 * K.WIN_MARGIN * 1.01}
         assert K._pick_winner(measured, "dx_generic") == "dx_drain"
-
-    def test_machine_n_res_matches_paper_topologies(self):
-        assert K.machine_n_res("zoot") == 1
-        assert K.machine_n_res("dancer") == 3
-        assert K.machine_n_res("saturn") == 3
-        assert K.machine_n_res("ig") == 22

@@ -1,11 +1,11 @@
 """Cohort dispatch vs the scalar event loop (TestCohortDispatch).
 
 ``Simulator(cohort=True)`` drains every event ready at one instant as a
-batch before running callbacks — the fast path the vectorized flow network
-feeds.  The contract is *indistinguishability*: dispatch order, clock
-values, counters, failure surfacing, and deadlock diagnostics must match
-the scalar loop exactly; only ``cohorts_dispatched``/``max_cohort`` may
-reveal which loop ran.
+batch before running callbacks — the fast path ``REPRO_VECTOR`` selects.
+The contract is *indistinguishability*: dispatch order, clock values,
+counters, failure surfacing, and deadlock diagnostics must match the
+scalar loop exactly; only ``cohorts_dispatched``/``max_cohort`` may reveal
+which loop ran.
 """
 
 from __future__ import annotations
@@ -271,14 +271,13 @@ class TestHeterogeneousCohorts:
     @settings(max_examples=40, deadline=None)
     def test_flow_completions_mixed_with_timers_match_scalar(
             self, flows, timers):
-        # Real flow-network completions (vectorized waterfilling feeding
-        # heap events) landing at the same instants as timer-lane chains.
+        # Real flow-network completions (heap events) landing at the same
+        # instants as timer-lane chains.
         from repro.hardware.flows import FlowNetwork, Resource
 
         def run(cohort: bool):
             sim = Simulator(cohort=cohort)
-            net = FlowNetwork(sim, vectorized=cohort)
-            net.vector_min_flows = 0
+            net = FlowNetwork(sim)
             shared = Resource("shared", capacity=4.0)
             log = []
 
@@ -303,16 +302,10 @@ class TestHeterogeneousCohorts:
             for cid, (start, hops) in enumerate(timers):
                 sim.process(chain(cid, start, hops))
             sim.run()
-            return (log, sim.now, net.completed_flows,
-                    sim.stats), net.completed_bytes
+            return (log, sim.now, net.completed_flows, net.completed_bytes,
+                    sim.stats)
 
-        scalar, s_bytes = run(False)
-        vectored, v_bytes = run(True)
-        assert vectored == scalar
-        # completed_bytes is the one tolerance-compared stat: its scalar
-        # accumulation order is address-dependent, so the vector path sums
-        # it in id order instead (see FlowNetwork._advance).
-        assert v_bytes == pytest.approx(s_bytes)
+        assert run(True) == run(False)
 
 
 class TestCohortFlag:
