@@ -3,18 +3,24 @@
 
 Solves all-pairs-shortest-paths on a random graph with the distributed
 Floyd–Warshall used in the paper's evaluation, on the simulated Zoot
-machine, under each MPI stack.  The result is validated against networkx,
-and the broadcast-time breakdown is printed in Table I's layout.
+machine, under each MPI stack.  The result is validated against a serial
+Floyd–Warshall, and the broadcast-time breakdown is printed in Table I's
+layout.
 
 Run:  python examples/asp_shortest_paths.py [n]
 """
 
 import sys
 
-import networkx as nx
 import numpy as np
 
-from repro.apps.asp import INF, AspConfig, run_asp, run_asp_timed
+from repro.apps.asp import (
+    INF,
+    AspConfig,
+    floyd_warshall_reference,
+    run_asp,
+    run_asp_timed,
+)
 from repro.bench.report import render_table1
 from repro.mpi import stacks
 
@@ -27,32 +33,16 @@ def random_graph(n, density=0.25, seed=1234):
     return adj
 
 
-def networkx_oracle(adj):
-    g = nx.DiGraph()
-    n = adj.shape[0]
-    g.add_nodes_from(range(n))
-    for i in range(n):
-        for j in range(n):
-            if i != j and adj[i, j] < INF:
-                g.add_edge(i, j, weight=int(adj[i, j]))
-    dist = np.full_like(adj, INF)
-    np.fill_diagonal(dist, 0)
-    for src, lengths in nx.all_pairs_dijkstra_path_length(g, weight="weight"):
-        for dst, d in lengths.items():
-            dist[src, dst] = d
-    return dist
-
-
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 64
 
     print(f"== correctness: {n}x{n} graph, 16 ranks on zoot ==")
     adj = random_graph(n)
-    oracle = networkx_oracle(adj)
+    oracle = floyd_warshall_reference(adj)
     for stack in (stacks.TUNED_SM, stacks.KNEM_COLL):
         result = run_asp("zoot", stack, adj, nprocs=16)
         ok = np.array_equal(result, oracle)
-        print(f"  {stack.name:12s} matches networkx: {ok}")
+        print(f"  {stack.name:12s} matches serial Floyd-Warshall: {ok}")
         assert ok
 
     print("\n== Table I layout (sampled timing at the paper's problem size) ==")

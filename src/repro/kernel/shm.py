@@ -12,7 +12,9 @@ Two distinct uses, matching the two roles shared memory plays in the paper:
    copy-in/copy-out transport (Open MPI SM BTL / MPICH2 Nemesis).  They are
    real :class:`~repro.hardware.memory.SimBuffer` objects, so copies through
    them consume memory bandwidth twice and pollute caches — the effect the
-   paper identifies as the core drawback of the double-copy approach.
+   paper identifies as the core drawback of the double-copy approach.  Their
+   backing bytes are only created once a fragment with a real payload
+   passes through (timing-only runs never create them).
 """
 
 from __future__ import annotations

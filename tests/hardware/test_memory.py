@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import RoutingError, SimulationError
-from repro.hardware.machines import dancer, ig, numa_machine, zoot
-from repro.hardware.memory import MemorySystem, SimBuffer
+from repro.hardware.machines import (
+    MACHINES,
+    dancer,
+    ig,
+    numa_machine,
+    zoot,
+)
+from repro.hardware.memory import MemorySystem, SimBuffer, _route_tables
 from repro.simtime import Simulator
 from repro.units import KiB, MiB
 
@@ -77,6 +83,36 @@ class TestRouting:
         sim = Simulator()
         with pytest.raises(RoutingError):
             MemorySystem(sim, broken)
+
+    def test_ig_tie_broken_routes_are_pinned(self):
+        """Two IG pairs have equal-weight two-hop routes; these are the
+        ones networkx's bidirectional Dijkstra picks (a one-sided Dijkstra
+        picks the other)."""
+        routes, _ = _route_tables(ig())
+        assert routes[(0, 7)] == [(0, 4), (4, 7)]
+        assert routes[(3, 4)] == [(3, 7), (4, 7)]
+
+    @pytest.mark.parametrize("name", sorted(MACHINES) + ["ring", "mesh"])
+    def test_route_tables_match_networkx(self, name):
+        nx = pytest.importorskip("networkx")
+        if name in MACHINES:
+            spec = MACHINES[name]()
+        elif name == "ring":
+            spec = numa_machine(n_domains=6, topology="ring")
+        else:
+            spec = numa_machine(n_domains=4, topology="mesh")
+        graph = nx.Graph()
+        graph.add_nodes_from(range(spec.n_domains))
+        for link in spec.links:
+            graph.add_edge(link.a, link.b,
+                           weight=1.0 + 1e-12 / link.bandwidth)
+        routes, _ = _route_tables(spec)
+        for a in range(spec.n_domains):
+            for b in range(spec.n_domains):
+                path = nx.shortest_path(graph, a, b, weight="weight")
+                assert routes[(a, b)] == [
+                    (min(u, v), max(u, v)) for u, v in zip(path, path[1:])
+                ], (a, b)
 
 
 class TestCopy:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import HardwareConfigError, MpiError
-from repro.hardware.machines import dancer
+from repro.hardware.machines import dancer, zoot
 from repro.mpi import Job, Machine, stacks
 from repro.mpi.stacks import Stack
 from repro.units import KiB
@@ -23,6 +23,15 @@ class TestMachine:
         assert m.shm.mem is m.mem
         assert m.topology.spec is m.spec
         assert m.distances.matrix.shape == (16, 16)
+
+    def test_equal_specs_share_one_instance(self):
+        """A machine built from a fresh spec first, then one built by name:
+        both hold the instance their shared topology tree was built from."""
+        fresh = Machine.build(zoot())
+        named = Machine.build("zoot")
+        assert fresh.spec is named.spec
+        assert fresh.topology.spec is fresh.spec
+        assert named.topology.spec is named.spec
 
     def test_clock_advances_across_jobs(self):
         m = Machine.build("dancer")
