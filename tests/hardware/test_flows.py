@@ -60,6 +60,28 @@ class TestSingleFlow:
         with pytest.raises(SimulationError):
             net.transfer(-1.0, 1.0, {Resource("r", 1.0): 1.0})
 
+    def test_prebuilt_shape_times_like_its_parts(self, sim):
+        net = FlowNetwork(sim)
+        res = Resource("r", 5.0)
+        shape = net.shape(10.0, {res: 1.0})
+        t = run_transfer(sim, net, 50.0, latency=1.0, shape=shape)
+        assert t == pytest.approx(11.0)
+        assert net.shape(10.0, {res: 1.0}).sig == shape.sig
+
+    def test_shape_and_parts_together_rejected(self, sim):
+        net = FlowNetwork(sim)
+        res = Resource("r", 5.0)
+        shape = net.shape(10.0, {res: 1.0})
+        with pytest.raises(SimulationError):
+            net.transfer(50.0, 10.0, {res: 1.0}, shape=shape)
+
+    def test_invalid_shape_rejected_when_built(self, sim):
+        net = FlowNetwork(sim)
+        with pytest.raises(SimulationError):
+            net.shape(0.0, {Resource("r", 1.0): 1.0})
+        with pytest.raises(SimulationError):
+            net.shape(1.0, {Resource("r", 1.0): 0.0})
+
 
 class TestFairness:
     def test_two_equal_flows_share_equally(self, sim):
