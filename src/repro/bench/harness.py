@@ -424,7 +424,7 @@ def acquire_journal_lease(path: str) -> JournalLease:
 
 
 def _record_checksum(key: str, t_literal: str) -> str:
-    """Per-record integrity checksum of a format-3 journal line.
+    """Per-record integrity checksum of a journal line.
 
     Computed over the cell key and the *exact JSON literal* of the time
     (so the float bit pattern is covered end-to-end), blake2b for the same
@@ -477,18 +477,15 @@ class JournalReport:
 
 
 def _parse_journal(path: str, header: Optional[dict]) -> JournalReport:
-    """Parse a journal of any known format into a :class:`JournalReport`.
+    """Parse a format-3 journal into a :class:`JournalReport`.
 
-    Format 3 records carry a blake2b checksum: a corrupt *interior* record
+    Every record carries a blake2b checksum: a corrupt *interior* record
     (bit rot, a partially flushed append that later appends buried) is
     skipped and reported — the cell simply recomputes on resume — instead
     of poisoning the whole journal.  A torn *final* line is the signature
-    of a crash mid-append and is dropped silently in every format.  Format
-    2 (no checksums) keeps its stricter historical contract: a malformed
-    interior line is a typed error, because without checksums a
-    wrong-but-parseable record cannot be told from a right one.  Format 1
-    (single JSON document) is read transparently and migrated by the
-    caller's compaction rewrite.
+    of a crash mid-append and is dropped silently.  Any other format
+    (including the retired format-1 and format-2 layouts) is a typed
+    "unknown journal format" error.
 
     ``header`` is checked when given; pass ``None`` to inspect a journal
     without knowing which sweep it belongs to (``--verify-journal``).
@@ -509,21 +506,8 @@ def _parse_journal(path: str, header: Optional[dict]) -> JournalReport:
         raise BenchmarkError(f"corrupt sweep checkpoint {path}: {err}") from err
     if not isinstance(head, dict):
         raise BenchmarkError(f"corrupt sweep checkpoint {path}: bad header line")
-    if "format" not in head:
-        # Format 1: the whole file is one JSON document.
-        try:
-            data = json.loads(raw)
-        except ValueError as err:
-            raise BenchmarkError(
-                f"corrupt sweep checkpoint {path}: {err}") from err
-        if header is not None:
-            _check_header(data.get("header"), header, path)
-        cells = data.get("cells", {})
-        if not isinstance(cells, dict):
-            raise BenchmarkError(f"corrupt sweep checkpoint {path}: no cell map")
-        return JournalReport(path, 1, data.get("header"), cells, [], False)
     fmt = head.get("format")
-    if fmt not in (2, 3):
+    if fmt != _JOURNAL_FORMAT:
         raise BenchmarkError(
             f"corrupt sweep checkpoint {path}: "
             f"unknown journal format {fmt!r}")
@@ -543,22 +527,16 @@ def _parse_journal(path: str, header: Optional[dict]) -> JournalReport:
             if not isinstance(key, str) or not isinstance(t, (int, float)):
                 raise ValueError("bad cell record")
             cell_hint = key
-            if fmt == 3:
-                want = _record_checksum(key, json.dumps(t))
-                got = rec.get("ck")
-                if got != want:
-                    raise ValueError(
-                        f"checksum mismatch (recorded {got!r})")
+            want = _record_checksum(key, json.dumps(t))
+            got = rec.get("ck")
+            if got != want:
+                raise ValueError(f"checksum mismatch (recorded {got!r})")
         except (ValueError, KeyError, TypeError) as err:
             if lineno == last:
                 torn_tail = True
                 break  # torn tail from a crash mid-append; cell re-runs
-            if fmt == 3:
-                skipped.append(JournalSkip(lineno, str(err), cell_hint))
-                continue  # skip-and-report: the cell recomputes
-            raise BenchmarkError(
-                f"corrupt sweep checkpoint {path}: "
-                f"bad journal line {lineno}") from err
+            skipped.append(JournalSkip(lineno, str(err), cell_hint))
+            continue  # skip-and-report: the cell recomputes
         cells[key] = t
     return JournalReport(path, fmt, head.get("header"), cells, skipped,
                          torn_tail)
@@ -587,8 +565,7 @@ def _compact_checkpoint(path: str, header: dict,
 
     Write-temp-then-rename: a crash leaves either the previous journal or
     the compacted one — never a torn file.  Run once per sweep start, this
-    also migrates format-1/2 checkpoints to format 3 (adding per-record
-    checksums) and drops torn tails, corrupt records, and duplicates.
+    drops torn tails, corrupt records, and duplicates.
     """
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -678,8 +655,8 @@ def run_sweep(
 
     ``checkpoint`` names a journal file: every completed (stack, size) cell
     is appended there durably (header line + one checksummed JSON line per
-    cell; the journal is compacted — and old-format checkpoints migrated —
-    on load), and cells already journaled are skipped on restart.  Corrupt
+    cell; the journal is compacted on load), and cells already journaled
+    are skipped on restart.  Corrupt
     interior records are skipped-and-reported (``stats.journal_skipped``)
     and their cells recomputed; an append error mid-sweep downgrades the
     rest of the sweep to no-journaling (``stats.journal_errors``) rather

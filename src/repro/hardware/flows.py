@@ -189,7 +189,9 @@ class FlowNetwork:
     construction-time parameters.
     """
 
-    #: always 0: there is one solver, counted in ``scalar_assignments``
+    #: always 0: there is one solver, counted in ``scalar_assignments``.
+    #: Kept because the figure-grid benchmark (``perfbench/worker.py``)
+    #: still adds it into its ``flows.rebalances`` counter.
     vector_assignments = 0
 
     def __init__(self, sim: Simulator):

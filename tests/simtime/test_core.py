@@ -117,6 +117,25 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.run(until=0.5)
 
+    def test_run_horizon_dispatches_up_to_and_including_horizon(self, sim):
+        fired = []
+        for t in (1.0, 2.0, 2.0, 3.0):
+            sim.schedule(t, lambda t=t: fired.append(t))
+        sim.run_horizon(2.0)
+        assert fired == [1.0, 2.0, 2.0]
+        assert sim.now == 2.0
+        assert sim.events_processed == 3
+        # Nothing due before the horizon: ``now`` stays at the last
+        # dispatched instant instead of jumping to the horizon.
+        sim.run_horizon(2.5)
+        assert sim.now == 2.0
+        assert sim.queue_size == 1
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.run_horizon(1.5)
+        sim.run_horizon(10.0)
+        assert fired == [1.0, 2.0, 2.0, 3.0]
+        assert sim.now == 3.0
+
     def test_step_empty_queue_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.step()
@@ -181,6 +200,39 @@ class TestSimulator:
 
         sim.process(daemon(), name="bg", daemon=True)
         sim.run()  # no DeadlockError
+
+    def test_same_instant_event_from_callback_runs_after_queued_ones(
+            self, sim):
+        # A zero-delay event scheduled by a callback gets a later sequence
+        # number than the same-instant events already queued.
+        order = []
+
+        def spawn():
+            order.append("spawn")
+            sim.schedule(0.0, lambda: order.append("child"))
+
+        sim.schedule(1.0, spawn)
+        sim.schedule(1.0, lambda: order.append("sibling"))
+        sim.run()
+        assert order == ["spawn", "sibling", "child"]
+
+    def test_unwaited_failure_keeps_the_rest_of_the_queue(self, sim):
+        fired = []
+        # Four events at one instant: a callback, the failing event, then
+        # two whose callbacks have not run when the failure surfaces.
+        sim.schedule(0.0, lambda: fired.append("before"))
+        sim.event(name="boom").fail(RuntimeError("boom"))
+        sim.schedule(0.0, lambda: fired.append("after-1"))
+        sim.schedule(0.0, lambda: fired.append("after-2"))
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert fired == ["before"]
+        assert sim.queue_size == 2
+        assert sim.events_processed == 2
+        sim.run()
+        assert fired == ["before", "after-1", "after-2"]
+        assert sim.events_processed == 4
+        assert sim.peak_heap == 4
 
     def test_queue_size_tracks_pending(self, sim):
         assert sim.queue_size == 0
@@ -278,6 +330,21 @@ class TestCounters:
         assert st["events_processed"] >= 3  # start + two timeouts
         assert st["process_resumes"] >= 3
         assert st["peak_heap"] >= 1
+
+    def test_peak_heap_is_the_true_queue_maximum(self, sim):
+        # Queue lengths over this schedule: 3 timers queued up front, the
+        # first one's callback adds 2 (3 - 1 + 2 = 4), then it drains.
+        def fan_out():
+            sim.timeout(0.5)
+            sim.timeout(0.5)
+
+        sim.schedule(1.0, fan_out)
+        sim.timeout(2.0)
+        sim.timeout(3.0)
+        assert sim.peak_heap == 3
+        sim.run()
+        assert sim.peak_heap == 4
+        assert sim.events_processed == 5
 
     def test_run_until_also_counts(self, sim):
         sim.timeout(1.0)
