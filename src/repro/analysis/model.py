@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simtime.trace import TraceRecord
 
 __all__ = ["Access", "CopyUse", "Region", "Failure", "HealthEvent",
-           "RankEvent", "BenchEvent", "ServiceEvent", "TraceModel",
+           "RankEvent", "BenchEvent", "TraceModel",
            "build_model"]
 
 #: Copy-record labels that double-count a ``knem.copy`` record and must be
@@ -157,21 +157,6 @@ class BenchEvent:
 
 
 @dataclass
-class ServiceEvent:
-    """One sweep-service event (``service.request`` / ``service.cache_hit``
-    / ``service.restart``): the client side of a served sweep, emitted via
-    ``SweepStats.events`` like the other substrate events.  Chaos
-    campaigns use these to assert that a restarted server's cache kept
-    its promises (restart followed by cache hits, never silent
-    recomputation drift)."""
-
-    index: int
-    kind: str                     # "request" | "cache_hit" | "restart"
-    cell: Optional[str]
-    fields: dict[str, Any]
-
-
-@dataclass
 class RankEvent:
     """One process-level fault event (``rank.crash``/``rank.stall``) or a
     ``watchdog.timeout`` (rank is ``None`` for machine-wide events)."""
@@ -203,9 +188,6 @@ class TraceModel:
         #: sweep-substrate events (quarantined cells, journal skips/errors)
         #: emitted by ``run_sweep`` via ``SweepStats.events``.
         self.bench_events: list[BenchEvent] = []
-        #: sweep-service events (requests routed to a server, cache hits,
-        #: observed server restarts), also via ``SweepStats.events``.
-        self.service_events: list[ServiceEvent] = []
         #: world ranks that died (fail-stop) during the run, in crash order.
         self.dead_ranks: list[int] = []
         #: hb token -> (sender rank, dest world rank) for sends that never
@@ -399,19 +381,6 @@ class TraceModel:
         self.bench_events.append(BenchEvent(index, "error",
                                             f.get("cell"), dict(f)))
 
-    def _on_service_request(self, index, rec, msg_snap, fin_snap):
-        self.service_events.append(ServiceEvent(index, "request", None,
-                                                dict(rec.fields)))
-
-    def _on_service_cache_hit(self, index, rec, msg_snap, fin_snap):
-        f = rec.fields
-        self.service_events.append(ServiceEvent(index, "cache_hit",
-                                                f.get("cell"), dict(f)))
-
-    def _on_service_restart(self, index, rec, msg_snap, fin_snap):
-        self.service_events.append(ServiceEvent(index, "restart", None,
-                                                dict(rec.fields)))
-
     def _on_mem_copy(self, index, rec, msg_snap, fin_snap):
         f = rec.fields
         label = f.get("label", "")
@@ -449,9 +418,6 @@ class TraceModel:
         "chunk.quarantine": _on_chunk_quarantine,
         "journal.skip": _on_journal_skip,
         "journal.error": _on_journal_error,
-        "service.request": _on_service_request,
-        "service.cache_hit": _on_service_cache_hit,
-        "service.restart": _on_service_restart,
         "copy": _on_mem_copy,
     }
 

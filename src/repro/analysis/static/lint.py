@@ -60,7 +60,7 @@ _SEEDED_RANDOM = {"default_rng", "Generator", "SeedSequence", "Random",
                   "seed", "getstate", "setstate"}
 
 #: path fragments exempt from the wall-clock rule
-_WALL_CLOCK_EXEMPT = ("/bench/", "/analysis/", "/chaos/", "/service/")
+_WALL_CLOCK_EXEMPT = ("/bench/", "/analysis/", "/chaos/")
 
 #: receivers treated as tracers for the emit rule
 _TRACER_NAMES = {"tr", "tracer"}

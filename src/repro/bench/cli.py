@@ -7,8 +7,8 @@ Examples::
     python -m repro.bench table1 --machine zoot --sample 64
     python -m repro.bench all --scale smoke --jobs 0 --verbose
     python -m repro.bench --verify-journal results/fig5_dancer.checkpoint.json
-    python -m repro.bench --serve 127.0.0.1:7000 --jobs 0     # server
-    python -m repro.bench fig5 --connect 127.0.0.1:7000       # client
+    python -m repro.bench fig5 --cache results/cache.json     # computes
+    python -m repro.bench fig5 --cache results/cache.json     # all hits
 
 Exit codes: 0 success; 2 usage error; 3 when any sweep cell was
 quarantined as a typed abort (the CSV is incomplete — re-run with
@@ -76,14 +76,13 @@ def _combos(name: str, machine: str | None) -> list[tuple[str, str | None]]:
 
 def _run_one(name: str, machine: str | None, scale: str, csv: bool,
              resume: bool, jobs: int, verbose: bool, strict: bool,
-             service: str | None = None) -> int:
+             cache: str | None = None) -> int:
     fn, takes_machine = EXPERIMENTS[name]
     status = EXIT_OK
     for _name, m in _combos(name, machine):
-        result = (fn(m, scale=scale, resume=resume, jobs=jobs,
-                     service=service)
+        result = (fn(m, scale=scale, resume=resume, jobs=jobs, cache=cache)
                   if takes_machine else
-                  fn(scale=scale, resume=resume, jobs=jobs, service=service))
+                  fn(scale=scale, resume=resume, jobs=jobs, cache=cache))
         _print_result(result, csv, verbose)
         status = max(status, _result_exit(result, strict))
     return status
@@ -119,7 +118,8 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes (0 = one per CPU).  A single experiment fans "
              "its (stack, size) cells across workers; 'all' fans whole "
-             "(experiment, machine) combos instead.  Output is byte-"
+             "(experiment, machine) combos instead (with --cache it runs "
+             "them in turn, fanning each one's cells).  Output is byte-"
              "identical to --jobs 1 (default)")
     parser.add_argument(
         "--strict", action="store_true",
@@ -137,24 +137,11 @@ def main(argv: list[str] | None = None) -> int:
              "``python -m pstats``).  Forces serial execution: profiles "
              "from forked pool workers would land in the wrong process")
     parser.add_argument(
-        "--serve", metavar="ADDR", default=None,
-        help="run a persistent sweep server on ADDR (host:port, port 0 = "
-             "ephemeral, or a unix socket path) instead of an experiment; "
-             "--jobs sizes its warm pool, --cache/--server-log configure "
-             "the result cache and log")
-    parser.add_argument(
-        "--connect", metavar="ADDR", default=None,
-        help="obtain sweep cells from the sweep server at ADDR instead of "
-             "computing in-process (the server's cache and warm pool are "
-             "shared across clients; output stays byte-identical)")
-    parser.add_argument(
         "--cache", metavar="PATH", default=None,
-        help="with --serve: result-cache journal path (default: "
-             "service_cache.checkpoint.json in the results dir; "
-             "'none' = memory only)")
-    parser.add_argument(
-        "--server-log", metavar="PATH", default=None,
-        help="with --serve: append server log lines to PATH")
+        help="content-addressed result cache shared by every sweep "
+             "(created if missing): cells found there are not run, and "
+             "computed cells are added to it.  Output is byte-identical "
+             "to an uncached run (sweep experiments only)")
     parser.add_argument(
         "--verbose", action="store_true",
         help="print simulator counters (events, resumes, peak heap) and "
@@ -162,25 +149,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 0:
         parser.error("--jobs must be >= 0")
-    if args.serve is not None:
-        if args.experiment is not None or args.connect is not None:
-            parser.error("--serve runs a server; do not also name an "
-                         "experiment or --connect")
-        from repro.service.server import serve
-        from repro.service.store import default_cache_path
-
-        cache = args.cache
-        if cache is None:
-            cache = default_cache_path()
-        elif cache == "none":
-            cache = None
-        log = open(args.server_log, "a") if args.server_log else None
-        try:
-            return serve(args.serve, jobs=args.jobs, cache_path=cache,
-                         log=log)
-        finally:
-            if log is not None:
-                log.close()
     if args.verify_journal is not None:
         if args.experiment is not None:
             parser.error("--verify-journal inspects a file; "
@@ -208,8 +176,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "table1":
         if args.resume:
             parser.error("--resume applies to sweep experiments, not table1")
-        if args.connect:
-            parser.error("--connect applies to sweep experiments, not table1")
+        if args.cache:
+            parser.error("--cache applies to sweep experiments, not table1")
         for machine in [args.machine] if args.machine else ["zoot", "ig"]:
             if machine not in ("zoot", "ig"):
                 parser.error("table1 runs on zoot or ig")
@@ -221,15 +189,15 @@ def main(argv: list[str] | None = None) -> int:
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     status = EXIT_OK
-    if args.experiment == "all" and args.jobs != 1:
+    if args.experiment == "all" and args.jobs != 1 and args.cache is None:
         # Fan whole (experiment, machine) combos; each worker runs its cells
         # serially, so the machine is never oversubscribed.  Results print
         # in deterministic (sorted-name, machine-list) order and CSVs are
-        # written by this parent process.
+        # written by this parent process.  With --cache the combos run in
+        # turn below instead: the cache's writer lease admits one process.
         from repro.bench.executor import run_experiments
 
-        kwargs = {"scale": args.scale, "resume": args.resume, "jobs": 1,
-                  "service": args.connect}
+        kwargs = {"scale": args.scale, "resume": args.resume, "jobs": 1}
         specs = [(name, m, kwargs)
                  for exp in names
                  for name, m in _combos(exp, args.machine)]
@@ -240,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         status = max(status, _run_one(
             name, args.machine, args.scale, args.csv, args.resume,
-            args.jobs, args.verbose, args.strict, args.connect))
+            args.jobs, args.verbose, args.strict, args.cache))
     return status
 
 

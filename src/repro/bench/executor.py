@@ -104,8 +104,8 @@ def sigterm_interrupts():
     process exits like a Ctrl-C'd one.
 
     Signal handlers can only be installed from the main thread; anywhere
-    else (a sweep-service runner thread, a pytest worker thread) this is
-    a no-op and the hosting process owns signal policy.
+    else (a thread embedding a sweep, a pytest worker thread) this is a
+    no-op and the hosting process owns signal policy.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -160,13 +160,10 @@ def _run_cell(task: tuple) -> tuple[str, float, Any]:
 def _worker_main(worker_id: int, task_q, result_conn) -> None:
     """Warm-pool worker loop: chunks in, per-cell results out.
 
-    Messages out (over this worker's exclusive pipe): ``("cell", wid, gen,
+    Messages out (over this worker's exclusive pipe): ``("cell", wid,
     chunk_id, idx, key, t, stats, wall)`` per measured cell, ``("done",
-    wid, gen, chunk_id)`` per finished chunk, ``("error", wid, gen,
-    chunk_id, exc)`` then exit on a cell failure.  ``gen`` echoes the
-    generation tag of the chunk message, so a parent reusing a persistent
-    pool across runs can discard a prior run's late flushes.  ``None`` in
-    shuts the worker down.
+    wid, chunk_id)`` per finished chunk, ``("error", wid, chunk_id, exc)``
+    then exit on a cell failure.  ``None`` in shuts the worker down.
     """
     global _IN_WORKER
     _IN_WORKER = True
@@ -186,20 +183,19 @@ def _worker_main(worker_id: int, task_q, result_conn) -> None:
             msg = task_q.get()
             if msg is None:
                 return
-            gen, chunk_id, cells = msg
+            chunk_id, cells = msg
             for idx, task in cells:
                 wall0 = time.perf_counter()
                 try:
                     key, t, stats = _run_cell(task)
                 except BaseException as exc:  # propagate to the parent
                     result_conn.send(
-                        ("error", worker_id, gen, chunk_id, _picklable(exc)))
+                        ("error", worker_id, chunk_id, _picklable(exc)))
                     return
                 wall = time.perf_counter() - wall0
                 result_conn.send(
-                    ("cell", worker_id, gen, chunk_id, idx, key, t, stats,
-                     wall))
-            result_conn.send(("done", worker_id, gen, chunk_id))
+                    ("cell", worker_id, chunk_id, idx, key, t, stats, wall))
+            result_conn.send(("done", worker_id, chunk_id))
     finally:
         result_conn.close()
 
@@ -222,17 +218,8 @@ class WarmPool:
         self._next_id = 0
         #: workers forked to replace dead ones (diagnostics)
         self.respawns = 0
-        #: current run generation — chunk messages are tagged with it and
-        #: workers echo it back, so a persistent pool reused across runs
-        #: (the sweep service) can discard a previous run's late flushes.
-        self.generation = 0
         for _ in range(workers):
             self._spawn()
-
-    def new_generation(self) -> int:
-        """Advance to (and return) a fresh run generation."""
-        self.generation += 1
-        return self.generation
 
     def _spawn(self) -> int:
         wid = self._next_id
@@ -324,8 +311,6 @@ def run_cells(
     jobs: int,
     report: Optional[dict] = None,
     retry_limit: Optional[int] = DEFAULT_RETRY_LIMIT,
-    pool: Optional[WarmPool] = None,
-    chunk_base: int = 0,
 ) -> Iterator[tuple[str, Any, Any]]:
     """Yield ``(cell key, seconds | CellAborted, CellStats|None)`` per cell.
 
@@ -344,37 +329,25 @@ def run_cells(
 
     ``report``, when given, receives pool diagnostics (workers, chunks,
     requeues, respawns, aborts, backoff) after the run.
-
-    ``pool``, when given, is an external persistent :class:`WarmPool`
-    (the sweep service's): the run tags its chunks with a fresh pool
-    generation, filters out any late flushes from prior generations, and
-    leaves the pool running afterwards instead of shutting it down.
-    ``chunk_base`` offsets chunk ids so runs sharing a pool never reuse
-    one (defence in depth on top of the generation filter).
     """
     tasks = [(machine, stack, nprocs, operation, size, settings)
              for stack, size in cells]
-    external_pool = pool is not None
-    if external_pool:
-        n = min(len(pool.worker_ids), len(tasks)) or 1
-    else:
-        n = min(resolve_jobs(jobs), len(tasks))
-    if n <= 1 and not external_pool:
+    n = min(resolve_jobs(jobs), len(tasks))
+    if n <= 1:
         for task in tasks:
             yield _run_cell(task)
         return
 
-    if not external_pool:
-        # Warm every per-spec memo before forking so the workers inherit
-        # populated caches instead of rebuilding them per process.
-        from repro.hardware.machines import warm_caches
+    # Warm every per-spec memo before forking so the workers inherit
+    # populated caches instead of rebuilding them per process.
+    from repro.hardware.machines import warm_caches
 
-        try:
-            warm_caches(machine)
-        except Exception:
-            # Monkeypatched measurement functions may use machine names
-            # the hardware layer does not know; the pool works either way.
-            pass
+    try:
+        warm_caches(machine)
+    except Exception:
+        # Monkeypatched measurement functions may use machine names the
+        # hardware layer does not know; the pool works either way.
+        pass
 
     # Static seed: simulated event counts scale with segment count, i.e.
     # message size; measured wall costs per stack refine this as cells land.
@@ -383,11 +356,8 @@ def run_cells(
         workers=n,
         classes=[stack.name for stack, _size in cells],
         retry_limit=retry_limit,
-        chunk_base=chunk_base,
     )
-    if not external_pool:
-        pool = WarmPool(n)
-    gen = pool.new_generation()
+    pool = WarmPool(n)
     busy: dict[int, int] = {}  # worker id -> outstanding chunk id
     consecutive_deaths = 0
     backoff_total = 0.0
@@ -399,8 +369,7 @@ def run_cells(
             chunk = scheduler.next_chunk()
             if chunk is None:
                 return
-            pool.send(
-                wid, (gen, chunk.id, [(i, tasks[i]) for i in chunk.cells]))
+            pool.send(wid, (chunk.id, [(i, tasks[i]) for i in chunk.cells]))
             busy[wid] = chunk.id
 
     def backoff_delay() -> float:
@@ -442,18 +411,13 @@ def run_cells(
                     top_up()
                 continue
             kind = msg[0]
-            if kind not in ("eof",) and msg[2] != gen:
-                # Late flush from a previous run of a shared persistent
-                # pool (its chunks were failed/requeued when that run was
-                # torn down) — not ours, drop it.
-                continue
             if kind == "cell":
-                _kind, _wid, _gen, _chunk_id, idx, key, t, stats, wall = msg
+                _kind, _wid, _chunk_id, idx, key, t, stats, wall = msg
                 if scheduler.record(idx, t):
                     scheduler.observe(idx, wall)
                     yield key, t, stats
             elif kind == "done":
-                _kind, wid, _gen, chunk_id = msg
+                _kind, wid, chunk_id = msg
                 if busy.get(wid) == chunk_id:
                     del busy[wid]
                     scheduler.complete(chunk_id)
@@ -477,7 +441,7 @@ def run_cells(
                 pool.respawn()
                 top_up()
             elif kind == "error":
-                _kind, _wid, _gen, _chunk_id, exc = msg
+                _kind, _wid, _chunk_id, exc = msg
                 raise exc
             else:  # pragma: no cover - protocol safety net
                 raise BenchmarkError(f"unknown pool message {kind!r}")
@@ -494,8 +458,7 @@ def run_cells(
                 respawns=pool.respawns,
                 backoff_seconds=backoff_total,
             )
-        if not external_pool:
-            pool.shutdown()
+        pool.shutdown()
 
 
 def _run_experiment(spec: tuple) -> Any:

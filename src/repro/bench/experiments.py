@@ -98,7 +98,7 @@ def _sizes(scale: str, sizes: list[int]) -> list[int]:
 def _paper_grid(experiment: str, operation: str, machine: str, scale: str,
                 stacks: Optional[Iterable] = None,
                 resume: bool = False, jobs: int = 1,
-                service: Optional[str] = None) -> ExperimentResult:
+                cache: Optional[str] = None) -> ExperimentResult:
     ranks = MACHINE_RANKS[machine]
     return run_sweep(
         experiment=experiment,
@@ -111,7 +111,7 @@ def _paper_grid(experiment: str, operation: str, machine: str, scale: str,
         reference="KNEM-Coll",
         checkpoint=checkpoint_path(experiment, machine) if resume else None,
         parallel=jobs,
-        service=service,
+        cache=cache,
     )
 
 
@@ -119,7 +119,7 @@ def _paper_grid(experiment: str, operation: str, machine: str, scale: str,
 def figure4(scale: str = "bench",
             pipeline_sizes: Optional[list[int]] = None,
             resume: bool = False, jobs: int = 1,
-            service: Optional[str] = None) -> ExperimentResult:
+            cache: Optional[str] = None) -> ExperimentResult:
     """Pipeline-size sweep of the hierarchical pipelined Broadcast on IG.
 
     Series: ``linear``, ``no-pipeline``, and one per pipeline segment size;
@@ -151,49 +151,49 @@ def figure4(scale: str = "bench",
         reference="no-pipeline",
         checkpoint=checkpoint_path("fig4", "ig") if resume else None,
         parallel=jobs,
-        service=service,
+        cache=cache,
     )
 
 
 # ------------------------------------------------------------- figures 5-8
 def figure5(machine: str = "ig", scale: str = "bench",
             resume: bool = False, jobs: int = 1,
-            service: Optional[str] = None) -> ExperimentResult:
+            cache: Optional[str] = None) -> ExperimentResult:
     """Broadcast, 5 stacks, normalized to KNEM-Coll (Figure 5)."""
     return _paper_grid("fig5", "bcast", machine, scale, resume=resume,
-                       jobs=jobs, service=service)
+                       jobs=jobs, cache=cache)
 
 
 def figure6(machine: str = "ig", scale: str = "bench",
             resume: bool = False, jobs: int = 1,
-            service: Optional[str] = None) -> ExperimentResult:
+            cache: Optional[str] = None) -> ExperimentResult:
     """Gather (Figure 6)."""
     return _paper_grid("fig6", "gather", machine, scale, resume=resume,
-                       jobs=jobs, service=service)
+                       jobs=jobs, cache=cache)
 
 
 def scatter_text(machine: str = "ig", scale: str = "bench",
                  resume: bool = False, jobs: int = 1,
-                 service: Optional[str] = None) -> ExperimentResult:
+                 cache: Optional[str] = None) -> ExperimentResult:
     """Scatter (text-only results in Section VI-C)."""
     return _paper_grid("scatter", "scatter", machine, scale,
-                       resume=resume, jobs=jobs, service=service)
+                       resume=resume, jobs=jobs, cache=cache)
 
 
 def figure7(machine: str = "ig", scale: str = "bench",
             resume: bool = False, jobs: int = 1,
-            service: Optional[str] = None) -> ExperimentResult:
+            cache: Optional[str] = None) -> ExperimentResult:
     """AlltoAllv (Figure 7)."""
     return _paper_grid("fig7", "alltoallv", machine, scale, resume=resume,
-                       jobs=jobs, service=service)
+                       jobs=jobs, cache=cache)
 
 
 def figure8(machine: str = "ig", scale: str = "bench",
             resume: bool = False, jobs: int = 1,
-            service: Optional[str] = None) -> ExperimentResult:
+            cache: Optional[str] = None) -> ExperimentResult:
     """AllGather (Figure 8)."""
     return _paper_grid("fig8", "allgather", machine, scale, resume=resume,
-                       jobs=jobs, service=service)
+                       jobs=jobs, cache=cache)
 
 
 # ---------------------------------------------------------------- table I
@@ -223,11 +223,11 @@ def table1(machine: str = "zoot", scale: str = "bench",
 # ---------------------------------------------------------------- ablations
 def ablation_direction(machine: str = "zoot", scale: str = "bench",
                        resume: bool = False, jobs: int = 1,
-                       service: Optional[str] = None) -> ExperimentResult:
+                       cache: Optional[str] = None) -> ExperimentResult:
     """Gather with vs without sender-writing direction control."""
     return _paper_grid(
         "abl-direction", "gather", machine, scale, resume=resume,
-        jobs=jobs, service=service,
+        jobs=jobs, cache=cache,
         stacks=[stk.KNEM_COLL.with_tuning(name="KNEM-root-reads",
                                           gather_direction_write=False),
                 stk.KNEM_COLL],
@@ -261,11 +261,11 @@ def ablation_registration(machine: str = "dancer", scale: str = "bench") -> dict
 
 def ablation_topology(scale: str = "bench",
                       resume: bool = False, jobs: int = 1,
-                      service: Optional[str] = None) -> ExperimentResult:
+                      cache: Optional[str] = None) -> ExperimentResult:
     """IG Broadcast: topology-aware tree vs logical rank-order tree."""
     return _paper_grid(
         "abl-topology", "bcast", "ig", scale, resume=resume, jobs=jobs,
-        service=service,
+        cache=cache,
         stacks=[stk.KNEM_COLL.with_tuning(name="KNEM-rank-order",
                                           topology_aware=False),
                 stk.KNEM_COLL],
@@ -274,11 +274,11 @@ def ablation_topology(scale: str = "bench",
 
 def ablation_rotation(machine: str = "ig", scale: str = "bench",
                       resume: bool = False, jobs: int = 1,
-                      service: Optional[str] = None) -> ExperimentResult:
+                      cache: Optional[str] = None) -> ExperimentResult:
     """Alltoall: rotated (Figure 3) vs naive fetch order."""
     return _paper_grid(
         "abl-rotation", "alltoall", machine, scale, resume=resume,
-        jobs=jobs, service=service,
+        jobs=jobs, cache=cache,
         stacks=[stk.KNEM_COLL.with_tuning(name="KNEM-naive-order",
                                           rotate_alltoall=False),
                 stk.KNEM_COLL],

@@ -17,7 +17,7 @@ import json
 import os
 import time
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import IO, Callable, Iterable, Iterator, Optional
 
 try:
@@ -37,7 +37,8 @@ from repro.units import fmt_size, fmt_time
 __all__ = ["Series", "ExperimentResult", "SweepStats", "JournalReport",
            "JournalLease", "run_sweep", "results_dir", "checkpoint_path",
            "verify_journal", "set_journal_wrapper", "journal_wrapper",
-           "set_profile_dir", "profile_dir", "acquire_journal_lease"]
+           "set_profile_dir", "profile_dir", "acquire_journal_lease",
+           "cache_key"]
 
 
 def results_dir() -> str:
@@ -109,12 +110,9 @@ class SweepStats:
     #: on resume, and append errors that downgraded journaling mid-sweep
     journal_skipped: int = 0
     journal_errors: int = 0
-    #: sweep-service client accounting (zero for in-process sweeps):
-    #: cells obtained from a sweep server, and how many of those the
-    #: server answered from its content-addressed cache without running
-    #: a simulation.
-    service_cells: int = 0
-    service_cache_hits: int = 0
+    #: pending cells answered from the ``cache=`` result cache (neither run
+    #: nor counted in ``cells_run``)
+    cache_hits: int = 0
     #: trace-model events emitted by the sweep substrate itself
     #: (``chunk.quarantine`` per aborted cell, ``journal.skip`` per
     #: skipped record) — feed to ``TraceModel.ingest`` alongside simulator
@@ -163,9 +161,8 @@ class SweepStats:
         if self.journal_skipped or self.journal_errors:
             base += (f" | journal: {self.journal_skipped} corrupt record(s) "
                      f"skipped, {self.journal_errors} append error(s)")
-        if self.service_cells:
-            base += (f" | service: {self.service_cells} cell(s), "
-                     f"{self.service_cache_hits} cache hit(s)")
+        if self.cache_hits:
+            base += f" | cache: {self.cache_hits} hit(s)"
         return base
 
 
@@ -289,10 +286,10 @@ _JOURNAL_FORMAT = 3
 #: chaos hook: wraps the journal file object opened for appends (fault
 #: campaigns inject EIO/ENOSPC/short writes here); identity when unset.
 #: A :class:`~contextvars.ContextVar`, not a module global: each thread
-#: (and each asyncio task of the sweep service) sees only its own value,
-#: so one client's armed chaos wrapper can never leak into another
-#: client's sweep — and a sweep that crashes with the wrapper installed
-#: leaves nothing behind for the next caller in a fresh context.
+#: sees only its own value, so one thread's armed chaos wrapper can never
+#: leak into a sweep on another thread — and a sweep that crashes with
+#: the wrapper installed leaves nothing behind for the next caller in a
+#: fresh context.
 _JOURNAL_WRAPPER: ContextVar[Optional[Callable[[IO[str]], IO[str]]]] = \
     ContextVar("repro_journal_wrapper", default=None)
 
@@ -354,8 +351,8 @@ def _profile_path(base: str, experiment: str, machine: str, stack_name: str,
 class JournalLease:
     """Advisory exclusive lease on one checkpoint journal.
 
-    Two writers sharing :func:`results_dir` (a sweep server and a stray
-    CLI run, or two CLI runs racing) would interleave their appends into
+    Two writers sharing :func:`results_dir` (two CLI runs racing on one
+    checkpoint or one result cache) would interleave their appends into
     the same ``*.checkpoint.json`` file: each append is a buffered write,
     and a flush boundary landing mid-line splices the two streams into a
     corrupt interior record (see
@@ -554,11 +551,6 @@ def verify_journal(path: str) -> JournalReport:
     return _parse_journal(path, header=None)
 
 
-def _load_checkpoint(path: str, header: dict) -> JournalReport:
-    """Completed cells (and skip reports) from ``path``; empty when absent."""
-    return _parse_journal(path, header)
-
-
 def _compact_checkpoint(path: str, header: dict,
                         cells: dict[str, float]) -> None:
     """Atomically rewrite the journal as header + one line per known cell.
@@ -595,41 +587,104 @@ def _journal_append(fh: IO[str], key: str, t: float) -> None:
     os.fsync(fh.fileno())
 
 
-def _sweep_via_service(address: str, machine: str, operation: str,
-                       nprocs: int, settings: ImbSettings, pending: list,
-                       stats: SweepStats, cells: dict,
-                       aborted: dict, journal_cell) -> None:
-    """Obtain pending cells from a sweep server (the ``--connect`` path).
+#: header of a result-cache journal.  One cache serves every sweep, so
+#: its records are keyed by :func:`cache_key` digests, not ``stack|size``.
+_CACHE_HEADER = {"version": 1, "cache": "repro.bench result cache"}
 
-    The server resolves each cell from its content-addressed cache when
-    it can and shards the misses across its standing warm pool; results
-    stream back in completion order and are journaled locally exactly
-    like locally-computed ones, so served sweeps produce byte-identical
-    CSVs and checkpoints.
+
+def cache_key(machine: str, operation: str, nprocs: int,
+              settings: ImbSettings, stack: Stack, size: int) -> str:
+    """Content address of one sweep cell (blake2b-128 hex digest).
+
+    A digest over the canonical JSON of every input the measured time is
+    a function of: machine, operation, nprocs, the measurement settings
+    and fault plan (whose seed covers the cell's "seed"), the full stack
+    (tuning included) and the message size.  Two cells share a key
+    exactly when their simulations would be bit-identical, which is what
+    makes the key safe as a cache identity across sweeps.
     """
-    from repro.service.client import ServiceClient
+    plan = settings.fault_plan
+    token = json.dumps({
+        "machine": machine,
+        "operation": operation,
+        "nprocs": nprocs,
+        "settings": {
+            "warmups": settings.warmups,
+            "max_iterations": settings.max_iterations,
+            "target_bytes": settings.target_bytes,
+            "off_cache": bool(settings.off_cache),
+            "root": settings.root,
+            "fault_plan": None if plan is None else {
+                "seed": plan.seed, "rules": [asdict(r) for r in plan.rules]},
+        },
+        "stack": asdict(stack),
+        "size": size,
+    }, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.blake2b(token, digest_size=16).hexdigest()
 
-    stats.events.append(TraceRecord(0.0, "service.request", {
-        "address": address, "cells": len(pending),
-        "operation": operation, "machine": machine}))
-    with ServiceClient(address) as client:
-        for res in client.sweep(machine, operation, nprocs, settings,
-                                pending):
-            stats.service_cells += 1
-            if res.aborted is not None:
-                aborted[res.key] = res.aborted
-                stats.cells_aborted += 1
-                stats.events.append(TraceRecord(0.0, "chunk.quarantine", {
-                    "cell": res.key, "deaths": res.aborted.deaths,
-                    "reason": res.aborted.reason}))
-                continue
-            if res.cached:
-                stats.service_cache_hits += 1
-                stats.events.append(TraceRecord(0.0, "service.cache_hit", {
-                    "cell": res.key, "address": address}))
-            cells[res.key] = res.t
-            stats.add_cell(res.stats)
-            journal_cell(res.key, res.t)
+
+class _Journal:
+    """One format-3 journal held open by a sweep.
+
+    The ``checkpoint=`` journal and the ``cache=`` result cache are both
+    this: opening takes the writer lease, loads the intact cells (corrupt
+    interior records are skipped and reported into ``stats``, their cells
+    recompute) and compacts the file; :meth:`append` is an O(1) durable
+    append, opening the file on first use.
+    """
+
+    def __init__(self, path: str, header: dict, stats: SweepStats):
+        self.path = path
+        self._stats = stats
+        self._fh: Optional[IO[str]] = None
+        self._failed = False
+        self._lease = acquire_journal_lease(path)
+        try:
+            report = _parse_journal(path, header)
+            self.cells = report.cells
+            stats.journal_skipped += len(report.skipped)
+            for skip in report.skipped:
+                stats.events.append(TraceRecord(0.0, "journal.skip", {
+                    "path": path, "lineno": skip.lineno,
+                    "cell": skip.cell, "reason": skip.reason}))
+            _compact_checkpoint(path, header, self.cells)
+        except BaseException:
+            self._lease.release()
+            raise
+
+    def append(self, key: str, t: float) -> None:
+        # An append that errors (disk full, I/O error, chaos injection)
+        # downgrades the journal to no-journaling for the rest of the
+        # sweep: retrying a half-written line could corrupt the *interior*
+        # of the journal, whereas stopping leaves at most a torn tail —
+        # which the next load tolerates.
+        if self._failed:
+            return
+        try:
+            if self._fh is None:
+                fh = open(self.path, "a")
+                wrapper = _JOURNAL_WRAPPER.get()
+                self._fh = fh if wrapper is None else wrapper(fh)
+            _journal_append(self._fh, key, t)
+        except OSError as err:
+            self._failed = True
+            self._stats.journal_errors += 1
+            self._stats.events.append(TraceRecord(0.0, "journal.error", {
+                "path": self.path, "cell": key, "reason": str(err)}))
+            self._close_file()
+
+    def _close_file(self) -> None:
+        fh, self._fh = self._fh, None
+        if fh is not None:
+            try:
+                fh.close()
+            except OSError:
+                pass
+
+    def close(self) -> None:
+        """Close the file after its last complete record; drop the lease."""
+        self._close_file()
+        self._lease.release()
 
 
 def run_sweep(
@@ -645,7 +700,7 @@ def run_sweep(
     checkpoint: Optional[str] = None,
     parallel: int = 1,
     retry_limit: Optional[int] = DEFAULT_RETRY_LIMIT,
-    service: Optional[str] = None,
+    cache: Optional[str] = None,
 ) -> ExperimentResult:
     """Run the (stack x size) grid and return the collected curves.
 
@@ -664,6 +719,14 @@ def run_sweep(
     machine, a killed-and-resumed sweep produces the same times — and
     therefore byte-identical CSVs — as an uninterrupted one.
 
+    ``cache`` names a result-cache journal shared by any number of sweeps:
+    each pending cell is looked up by :func:`cache_key`, a hit fills the
+    cell without running it (``stats.cache_hits``), and every computed
+    cell is appended by this process.  The cache is opened, leased,
+    compacted and appended by the same code as the checkpoint, so a
+    corrupt record is a miss and a failed append is counted in
+    ``stats.journal_errors`` without changing any result.
+
     ``parallel`` fans pending cells across worker processes (0 = one per
     CPU; see :mod:`repro.bench.executor`).  Each cell is a pure function of
     its inputs, every simulator iterates in creation-id order, and the cell
@@ -673,20 +736,13 @@ def run_sweep(
     quarantined cells land in ``result.aborted`` and are *absent* from the
     series/CSV/journal, so ``--resume`` recomputes them.
 
-    ``service`` names a sweep-server address (``host:port`` or a unix
-    socket path): pending cells are requested from the server instead of
-    computed in-process (``parallel`` is then ignored).  The server's
-    content-addressed cache and warm pool produce the same per-cell times
-    as a local run, so served sweeps keep the byte-identity guarantee.
-    Journaling, resume, and series assembly all stay local.
-
-    While the sweep holds a checkpoint journal open it also holds an
-    exclusive advisory lease on it (``<journal>.lock``); a second writer
-    racing the same journal gets a typed error instead of silently
-    interleaving appends into a corrupt record.  SIGTERM during the sweep
-    is converted into ``KeyboardInterrupt`` (main thread only), so the
-    pool is shut down, workers are reaped, and the journal is closed on a
-    complete record instead of being torn mid-append.
+    While the sweep holds a journal open it also holds an exclusive
+    advisory lease on it (``<journal>.lock``); a second writer racing the
+    same journal gets a typed error instead of silently interleaving
+    appends into a corrupt record.  SIGTERM during the sweep is converted
+    into ``KeyboardInterrupt`` (main thread only), so the pool is shut
+    down, workers are reaped, and the journals are closed on a complete
+    record instead of being torn mid-append.
     """
     stacks = list(stacks)
     sizes = list(sizes)
@@ -697,61 +753,46 @@ def run_sweep(
         settings = replace(settings, fault_plan=fault_plan)
     from repro.bench.executor import run_cells, sigterm_interrupts
 
-    header: Optional[dict] = None
     cells: dict[str, float] = {}
     stats = SweepStats()
     aborted: dict[str, CellAborted] = {}
-    lease: Optional[JournalLease] = None
-    journal: Optional[IO[str]] = None
+    journal: Optional[_Journal] = None
+    store: Optional[_Journal] = None
+    digests: dict[str, str] = {}   # cache misses: cell key -> cache key
     wall0 = time.perf_counter()
 
-    def journal_cell(key: str, t: float) -> None:
-        # An append that errors (disk full, I/O error, chaos injection)
-        # downgrades the sweep to no-journaling: retrying a half-written
-        # line could corrupt the *interior* of the journal, whereas
-        # stopping leaves at most a torn tail — which resume tolerates.
-        nonlocal journal
-        if journal is None:
-            return
-        try:
-            _journal_append(journal, key, t)
-        except OSError as err:
-            stats.journal_errors += 1
-            stats.events.append(TraceRecord(0.0, "journal.error", {
-                "cell": key, "reason": str(err)}))
-            try:
-                journal.close()
-            except OSError:
-                pass
-            journal = None
+    def record(key: str, t: float) -> None:
+        cells[key] = t
+        if journal is not None:
+            journal.append(key, t)
+        if store is not None and key in digests:
+            store.append(digests[key], t)
 
     try:
         if checkpoint is not None:
-            header = _sweep_header(experiment, machine, operation, nprocs,
-                                   settings)
-            lease = acquire_journal_lease(checkpoint)
-            report = _load_checkpoint(checkpoint, header)
-            cells = report.cells
-            stats.journal_skipped = len(report.skipped)
-            for skip in report.skipped:
-                stats.events.append(TraceRecord(0.0, "journal.skip", {
-                    "path": checkpoint, "lineno": skip.lineno,
-                    "cell": skip.cell, "reason": skip.reason}))
-            _compact_checkpoint(checkpoint, header, cells)
+            journal = _Journal(checkpoint, _sweep_header(
+                experiment, machine, operation, nprocs, settings), stats)
+            cells = journal.cells
         stats.cells_resumed = len(cells)
         pending = [(stack, size) for stack in stacks for size in sizes
                    if f"{stack.name}|{size}" not in cells]
-        if checkpoint is not None and pending:
-            journal = open(checkpoint, "a")
-            wrapper = _JOURNAL_WRAPPER.get()
-            if wrapper is not None:
-                journal = wrapper(journal)
+        if cache is not None and pending:
+            store = _Journal(cache, _CACHE_HEADER, stats)
+            misses = []
+            for stack, size in pending:
+                key = f"{stack.name}|{size}"
+                digest = cache_key(machine, operation, nprocs, settings,
+                                   stack, size)
+                t = store.cells.get(digest)
+                if t is None:
+                    digests[key] = digest
+                    misses.append((stack, size))
+                else:
+                    stats.cache_hits += 1
+                    record(key, t)
+            pending = misses
         with sigterm_interrupts():
-            if service is not None and pending:
-                _sweep_via_service(service, machine, operation, nprocs,
-                                   settings, pending, stats, cells, aborted,
-                                   journal_cell)
-            elif parallel != 1 and pending:
+            if parallel != 1 and pending:
                 pool_report: dict = {}
                 producer = run_cells(
                     machine, operation, nprocs, settings, pending,
@@ -766,9 +807,8 @@ def run_sweep(
                                 {"cell": key, "deaths": t.deaths,
                                  "reason": t.reason}))
                             continue
-                        cells[key] = t
                         stats.add_cell(cell_stats)
-                        journal_cell(key, t)
+                        record(key, t)
                 finally:
                     # Close the generator deterministically: an exception
                     # raised in *this* loop body (a signal, a journal bug)
@@ -797,15 +837,12 @@ def run_sweep(
                     else:
                         t = imb_time(machine, stack, nprocs, operation, size,
                                      settings)
-                    key = f"{stack.name}|{size}"
-                    cells[key] = t
                     stats.add_cell(imb.consume_cell_stats())
-                    journal_cell(key, t)
+                    record(f"{stack.name}|{size}", t)
     finally:
-        if journal is not None:
-            journal.close()
-        if lease is not None:
-            lease.release()
+        for held in (journal, store):
+            if held is not None:
+                held.close()
     stats.wall_seconds = time.perf_counter() - wall0
     series = []
     for stack in stacks:

@@ -17,10 +17,11 @@ seed via blake2b, :mod:`repro.chaos.seeds`), then checks invariant oracles
 - the checkpoint **journal is always recoverable** (corrupt records skip
   and recompute, torn tails drop);
 - the **pool never wedges**: poison cells quarantine after a bounded
-  number of respawns instead of requeueing forever.
+  number of respawns instead of requeueing forever;
+- a reopened **result cache** answers every cell of the grid without
+  running it, byte-identical to the reference.
 
-Campaigns are the soak traffic the future sweep service is qualified
-against; ``python -m repro.chaos --seed N`` runs one from the command
+``python -m repro.chaos --seed N`` runs one campaign from the command
 line and writes a JSON report.
 """
 

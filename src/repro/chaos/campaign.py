@@ -15,10 +15,10 @@ A campaign is four phases over one sweep grid:
 4. **resume** — re-run serially against the damaged journal with chaos
    disarmed: corrupt records must skip-and-recompute, quarantined cells
    must heal, and the final cell map must equal the reference exactly.
-5. **service-restart** (only when the ``restart`` dimension is armed) —
-   serve the grid from a sweep server, stop the server, serve it again
-   from a fresh server sharing the durable result cache: the second
-   serving must be all cache hits, byte-identical to the reference.
+5. **cache-reopen** (only when the ``restart`` dimension is armed) —
+   run the grid with a result cache, then run it again: the second run
+   reopens the cache journal the first one closed and must be all cache
+   hits, byte-identical to the reference.
 
 Then the oracles (:mod:`repro.chaos.oracles`) rule on the artifacts.
 """
@@ -43,12 +43,12 @@ from repro.chaos.injections import (
 )
 from repro.chaos.oracles import (
     TYPED_ERRORS,
+    check_cache_reopen,
     check_chaos_cells,
     check_identity,
     check_journal,
     check_pool_bounds,
     check_sanitizer,
-    check_service_restart,
     check_typed_abort,
 )
 from repro.chaos.report import CampaignReport, OracleVerdict, PhaseOutcome
@@ -115,6 +115,7 @@ def _stats_summary(result: Optional[ExperimentResult]) -> dict:
         "pool_requeued": s.pool_requeued,
         "journal_skipped": s.journal_skipped,
         "journal_errors": s.journal_errors,
+        "cache_hits": s.cache_hits,
     }
 
 
@@ -200,44 +201,26 @@ def run_campaign(spec: CampaignSpec, workdir: str) -> CampaignReport:
         f"{type(resume_error).__name__}: {resume_error}",
         detail=_stats_summary(resumed)))
 
-    # Phase 5: serve the grid twice across a sweep-server restart.  Both
-    # servers share one durable cache journal in the workdir, so every
-    # cell of the second serving must be a cache hit — losing the server
-    # process must never lose results.
-    served: Optional[ExperimentResult] = None
-    reserved: Optional[ExperimentResult] = None
-    service_counters: Optional[dict] = None
+    # Phase 5: run the grid twice on one result cache.  The second run
+    # reopens the journal the first one closed, so losing the process
+    # between sweeps must never lose results.
+    cached: Optional[ExperimentResult] = None
+    reopened: Optional[ExperimentResult] = None
     if dims.restart:
-        from repro.service.server import start_in_thread
-        from repro.simtime.trace import TraceRecord
-
-        cache = os.path.join(workdir,
-                             f"service_{spec.seed}.cache.checkpoint.json")
-        service_error: Optional[BaseException] = None
+        cache = os.path.join(workdir, f"cache_{spec.seed}.json")
+        cache_error: Optional[BaseException] = None
         try:
-            first = start_in_thread("127.0.0.1:0", jobs=1, cache_path=cache)
-            try:
-                served = run_sweep(fault_plan=ref_plan,
-                                   service=first.address, **sweep_args)
-            finally:
-                first.stop()  # the injected restart: server process dies
-            with start_in_thread("127.0.0.1:0", jobs=1,
-                                 cache_path=cache) as second:
-                reserved = run_sweep(fault_plan=ref_plan,
-                                     service=second.address, **sweep_args)
-                service_counters = second.counters()
-            if reserved.stats is not None:
-                reserved.stats.events.append(TraceRecord(
-                    0.0, "service.restart",
-                    {"cache": os.path.basename(cache),
-                     "counters": service_counters}))
+            cached = run_sweep(fault_plan=ref_plan, cache=cache,
+                               parallel=spec.jobs, **sweep_args)
+            reopened = run_sweep(fault_plan=ref_plan, cache=cache,
+                                 parallel=spec.jobs, **sweep_args)
         except TYPED_ERRORS as err:  # pragma: no cover - oracle will fail
-            service_error = err
+            cache_error = err
         report.phases.append(PhaseOutcome(
-            "service-restart", service_error is None,
-            error=None if service_error is None else
-            f"{type(service_error).__name__}: {service_error}",
-            detail=service_counters or {}))
+            "cache-reopen", cache_error is None,
+            error=None if cache_error is None else
+            f"{type(cache_error).__name__}: {cache_error}",
+            detail=_stats_summary(reopened)))
 
     # Oracles.
     report.oracles.append(check_identity(reference, resumed))
@@ -253,8 +236,7 @@ def run_campaign(spec: CampaignSpec, workdir: str) -> CampaignReport:
     report.oracles.append(check_pool_bounds(
         chaos_result, dims, len(keys), spec.retry_limit))
     if dims.restart:
-        report.oracles.append(check_service_restart(
-            reference, served, reserved, service_counters))
+        report.oracles.append(check_cache_reopen(reference, cached, reopened))
     if damage is not None:
         detected = resumed is not None and resumed.stats is not None and (
             resumed.stats.journal_skipped >= 1)

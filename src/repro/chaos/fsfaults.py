@@ -1,4 +1,4 @@
-"""Filesystem fault injection around checkpoint-journal appends.
+"""Filesystem fault injection around journal appends.
 
 The journal is the one place the sweep substrate touches durable state, so
 it is the one place disk failure modes matter: ``EIO`` (a failing device),
@@ -6,8 +6,9 @@ it is the one place disk failure modes matter: ``EIO`` (a failing device),
 write** — part of one record reaches the file and then the write errors,
 leaving a torn final line exactly like a crash mid-append.
 
-A :class:`FaultyFile` wraps the append-mode journal handle (installed via
-:func:`repro.bench.harness.set_journal_wrapper`) and injects one such
+A :class:`FaultyFile` wraps the append-mode handle of a checkpoint or
+result-cache journal (installed via
+:func:`repro.bench.harness.journal_wrapper`) and injects one such
 fault after a configured number of successful appends.  The contract the
 campaigns verify: the sweep *degrades to no-journaling* (the run still
 completes and stays correct; only resumability of later cells is lost),

@@ -24,10 +24,10 @@ dimension           injection point
 ``fsfault``         one journal append fails (EIO/ENOSPC/short write)
 ``corrupt``         one interior journal record is bit-flipped after the
                     run (resume must skip-and-recompute it)
-``restart``         the sweep service is stopped between two served runs
-                    of the grid; the second run against a fresh server
-                    on the same cache journal must answer every cell
-                    from cache, byte-identical to the reference
+``restart``         the grid is run twice against one result-cache
+                    journal; the second run reopens the journal the
+                    first one closed and must answer every cell from
+                    it, byte-identical to the reference
 ==================  ====================================================
 """
 
@@ -80,8 +80,8 @@ class Dimensions:
     fs_rule: Optional[FsFaultRule]
     #: flip one interior journal record after the chaos run
     corrupt: bool
-    #: serve the grid twice across a sweep-server restart; the second
-    #: serving must be all cache hits and byte-identical
+    #: run the grid twice on one result cache; the second run reopens the
+    #: cache and must be all hits, byte-identical
     restart: bool = False
 
     def describe(self) -> dict:
@@ -98,7 +98,7 @@ class Dimensions:
                          {"mode": self.fs_rule.mode,
                           "after_writes": self.fs_rule.after_writes}),
             "corrupt_journal": self.corrupt,
-            "service_restart": self.restart,
+            "cache_reopen": self.restart,
         }
 
 

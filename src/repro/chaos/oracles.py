@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.static.shadowmem import SingleCopySanitizer
-from repro.bench.harness import ExperimentResult, verify_journal
+from repro.bench.harness import ExperimentResult, SweepStats, verify_journal
 from repro.bench.imb import OPS, ImbSettings
 from repro.chaos.injections import Dimensions
 from repro.chaos.report import OracleVerdict
@@ -24,7 +24,7 @@ from repro.mpi.stacks import Stack
 
 __all__ = ["TYPED_ERRORS", "check_identity", "check_chaos_cells",
            "check_typed_abort", "check_journal", "check_sanitizer",
-           "check_pool_bounds", "check_service_restart"]
+           "check_pool_bounds", "check_cache_reopen"]
 
 #: error types a chaos phase may legitimately end with — anything else
 #: (KeyError, a hang, a segfault) is a substrate bug, not an abort.
@@ -186,52 +186,29 @@ def check_pool_bounds(result: Optional[ExperimentResult], dims: Dimensions,
         f"{stats.pool_respawns} respawn(s) within budget {bound}")
 
 
-def check_service_restart(reference: ExperimentResult,
-                          served: Optional[ExperimentResult],
-                          reserved: Optional[ExperimentResult],
-                          counters: Optional[dict]) -> OracleVerdict:
-    """A server restart loses no results: the re-served grid is answered
-    entirely from the durable cache, byte-identical to the reference, and
-    the restarted server's pool computed nothing.
-
-    Also drives the served sweeps' ``service.*`` trace events through the
-    analysis :class:`~repro.analysis.model.TraceModel`, so the model's
-    service ingestion is exercised under chaos, not just in unit tests.
-    """
-    if served is None or reserved is None:
-        return OracleVerdict("service-cache", False,
-                             "service phase never completed")
+def check_cache_reopen(reference: ExperimentResult,
+                       cached: Optional[ExperimentResult],
+                       reopened: Optional[ExperimentResult]) -> OracleVerdict:
+    """Reopening the result cache loses nothing: both cached runs equal
+    the reference byte for byte, and the second one answered every cell
+    from the cache without running any."""
+    if cached is None or reopened is None:
+        return OracleVerdict("cache-reopen", False,
+                             "cache phase never completed")
     want = _times(reference)
-    for label, result in (("served", served), ("re-served", reserved)):
-        got = _times(result)
-        if want != got:
+    for label, result in (("first", cached), ("reopened", reopened)):
+        if _times(result) != want:
             return OracleVerdict(
-                "service-cache", False,
-                f"{label} sweep diverged from the reference")
+                "cache-reopen", False,
+                f"{label} cached sweep diverged from the reference")
     n_cells = sum(len(s.times) for s in reference.series)
-    stats = reserved.stats
-    if stats is None or stats.service_cache_hits != n_cells:
-        hits = stats.service_cache_hits if stats else "?"
+    stats = reopened.stats or SweepStats()
+    if stats.cache_hits != n_cells or stats.cells_run != 0:
         return OracleVerdict(
-            "service-cache", False,
-            f"restarted server answered {hits}/{n_cells} cells from cache")
-    if counters is not None and counters.get("cells_computed", 0) != 0:
-        return OracleVerdict(
-            "service-cache", False,
-            f"restarted server recomputed "
-            f"{counters['cells_computed']} cell(s) despite a warm cache")
-    from repro.analysis.model import TraceModel
-
-    model = TraceModel(nprocs=1).ingest(
-        list(served.stats.events) + list(stats.events)
-        if served.stats else list(stats.events))
-    kinds = [ev.kind for ev in model.service_events]
-    if "restart" not in kinds or kinds.count("cache_hit") < n_cells:
-        return OracleVerdict(
-            "service-cache", False,
-            f"trace model ingested {kinds.count('cache_hit')} cache hits "
-            f"and {kinds.count('restart')} restart event(s)")
+            "cache-reopen", False,
+            f"reopened cache answered {stats.cache_hits}/{n_cells} cells "
+            f"and ran {stats.cells_run}")
     return OracleVerdict(
-        "service-cache", True,
-        f"{n_cells} cells re-served from cache across a restart, "
+        "cache-reopen", True,
+        f"{n_cells} cells answered from the reopened cache, "
         f"byte-identical")

@@ -9,8 +9,8 @@ duration of a checkpointed sweep.
 
 ``TestContextScopedHooks`` covers the companion shared-state fix: the
 journal-wrapper and profile-dir hooks are :mod:`contextvars`-scoped, so
-one thread's (or one served client's) hook can never leak into another's
-sweep, and a crash inside the scope cannot leave the hook armed.
+one thread's hook can never leak into another thread's sweep, and a crash
+inside the scope cannot leave the hook armed.
 """
 
 from __future__ import annotations

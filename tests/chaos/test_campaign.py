@@ -52,7 +52,7 @@ ACCEPTANCE = CampaignSpec(
                     # exercised by its own test below)
     fsfault=False,  # keep the journal complete so `corrupt` has an
                     # interior record to hit
-    restart=False,  # the service-restart arm has its own test class
+    restart=False,  # the cache-reopen arm has its own test class
 )
 
 
@@ -136,10 +136,10 @@ class TestTypedAbortArm:
         assert report.dimensions["death_keys"] == []
 
 
-class TestServiceRestartArm:
-    """The ``restart`` dimension: serve the grid twice across a sweep-
-    server restart sharing one durable cache journal.  Serial substrate
-    (jobs=1) keeps the arm fork-free, so it runs everywhere."""
+class TestCacheReopenArm:
+    """The ``restart`` dimension: run the grid twice on one result-cache
+    journal; the second run reopens what the first one closed.  Serial
+    substrate (jobs=1) keeps the arm fork-free, so it runs everywhere."""
 
     @pytest.fixture(scope="class")
     def report(self, tmp_path_factory):
@@ -147,29 +147,28 @@ class TestServiceRestartArm:
             seed=11, jobs=1, restart=True, crash=False, poison=False,
             deaths=False, fsfault=False, corrupt=False, knem=True,
             stall=False)
-        workdir = tmp_path_factory.mktemp("chaos-restart")
+        workdir = tmp_path_factory.mktemp("chaos-reopen")
         return run_campaign(spec, str(workdir))
 
-    def test_restart_campaign_passes_every_oracle(self, report):
+    def test_reopen_campaign_passes_every_oracle(self, report):
         assert report.ok, report.render()
-        assert report.dimensions["service_restart"] is True
-        assert "service-cache" in oracle_map(report)
+        assert report.dimensions["cache_reopen"] is True
+        assert "cache-reopen" in oracle_map(report)
 
-    def test_reserved_grid_was_all_cache_hits(self, report):
-        phase = next(p for p in report.phases
-                     if p.name == "service-restart")
+    def test_reopened_grid_was_all_cache_hits(self, report):
+        phase = next(p for p in report.phases if p.name == "cache-reopen")
         assert phase.ok, phase.error
-        # Phase detail carries the *restarted* server's counters: it must
-        # have answered everything from the durable cache.
-        assert phase.detail["cells_computed"] == 0
+        # Phase detail carries the *reopened* run's counters: every cell
+        # came from the cache and none ran.
+        assert phase.detail["cells_run"] == 0
         assert phase.detail["cache_hits"] == 4
-        verdict = oracle_map(report)["service-cache"]
+        verdict = oracle_map(report)["cache-reopen"]
         assert verdict.ok, verdict.detail
-        assert "re-served from cache across a restart" in verdict.detail
+        assert "answered from the reopened cache" in verdict.detail
 
     def test_phase_list_includes_the_fifth_phase(self, report):
         assert [p.name for p in report.phases] == [
-            "reference", "chaos", "corrupt", "resume", "service-restart"]
+            "reference", "chaos", "corrupt", "resume", "cache-reopen"]
 
 
 class TestPrePrBehaviour:
